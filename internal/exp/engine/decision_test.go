@@ -83,7 +83,7 @@ func TestDecisionHookRemote(t *testing.T) {
 		}
 		return "remote-val", true, nil
 	})
-	val, err := e.DoRouted(context.Background(), "rk", "payload", func() (any, error) {
+	val, err := e.DoRouted(context.Background(), "rk", thunk("payload"), func() (any, error) {
 		t.Error("routed point must not compute locally")
 		return nil, nil
 	})
@@ -135,7 +135,7 @@ func TestNoHookNoRouteInfo(t *testing.T) {
 		}
 		return "v", true, nil
 	})
-	if _, err := e.DoRouted(context.Background(), "k", "p", nil); err != nil {
+	if _, err := e.DoRouted(context.Background(), "k", thunk("p"), nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package engine provides the worker pool and memo that back the
 // experiment layer (internal/exp): a fixed-size pool that bounds
 // concurrent computations, context cancellation, and a memo keyed by
-// canonical configuration fingerprints so identical points are computed
-// exactly once while resident.
+// canonical configuration keys so identical points are computed exactly
+// once while resident.
 //
 // The memo is optionally capacity-bounded (NewBounded): a long-running
 // process — cmd/soprocd serving ad-hoc sweeps — caps its resident
@@ -17,14 +17,13 @@
 // itself drives can share the pool without an import cycle —
 // sim.RunSampled fans its seed samples out across the same workers that
 // run figure sweeps. internal/exp re-exports the user-facing surface
-// (Engine, WithEngine, Fingerprint, ...) and layers the typed Point
-// API on top of Do.
+// (Engine, WithEngine, ...) and layers the typed Point API on top of
+// Do.
 package engine
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -72,14 +71,15 @@ type Engine struct {
 // Route resolves one memo miss somewhere other than the local worker
 // pool — in practice, on a cluster replica (internal/cluster). It
 // receives the memo key and the payload the caller attached to the work
-// (DoRouted); a typical router serializes the payload, ships it to the
-// replica that owns the key, and returns the computed value. Returning
-// handled=false declines the work — because the payload is not
-// representable on the wire, or every replica is down — and the engine
-// computes it locally instead, so a router can never change results,
-// only where they are computed. Returning handled=true with a
-// cancellation error withdraws the memo entry exactly as a cancelled
-// local computation would, so a later call retries for real.
+// (DoRouted builds it only for the router); a typical router serializes
+// the payload, ships it to the replica that owns the key, and returns
+// the computed value. Returning handled=false declines the work —
+// because the payload is not representable on the wire, or every
+// replica is down — and the engine computes it locally instead, so a
+// router can never change results, only where they are computed.
+// Returning handled=true with a cancellation error withdraws the memo
+// entry exactly as a cancelled local computation would, so a later call
+// retries for real.
 //
 // A Route runs under the key's single-flight memo entry but does NOT
 // hold a worker slot: remote work waits on the network, not on local
@@ -297,11 +297,6 @@ func FromContext(ctx context.Context) *Engine {
 	return Default()
 }
 
-// Fingerprint canonically serializes a configuration value. fmt prints
-// map fields in sorted key order, so two equal values always produce the
-// same string regardless of construction order.
-func Fingerprint(v any) string { return fmt.Sprintf("%#v", v) }
-
 // Do runs compute under a worker slot, memoized by key. Two calls with
 // equal non-empty keys must describe identical computations; the engine
 // computes each distinct key at most once while it stays resident and
@@ -320,15 +315,22 @@ func (e *Engine) Do(ctx context.Context, key string, compute func() (any, error)
 }
 
 // DoRouted is Do with a routable payload attached: on a memo miss, an
-// engine with a router (SetRoute) offers (key, payload) to the router
+// engine with a router (SetRoute) offers (key, payload()) to the router
 // before computing locally, so a cluster coordinator can ship the work
-// to the replica owning the key. payload must describe the same
+// to the replica owning the key. The payload must describe the same
 // computation as compute — routing only moves where a point runs, never
-// what it returns. A nil payload, an engine without a router, or a
-// context marked by DisableRouting always computes locally; so does any
-// point the router declines. Memoization, single-flight dedup, and
-// cancellation withdrawal are identical to Do in every case.
-func (e *Engine) DoRouted(ctx context.Context, key string, payload any, compute func() (any, error)) (any, error) {
+// what it returns.
+//
+// payload is a thunk because building a payload (a point's wire form)
+// costs more than serving the point from the memo or the store. It is
+// called at most once, and only when the point is about to be offered
+// to a router: a memo and store miss, on an engine with a router,
+// outside a DisableRouting context. A nil thunk or a nil payload, an
+// engine without a router, or a context marked by DisableRouting always
+// computes locally; so does any point the router declines.
+// Memoization, single-flight dedup, and cancellation withdrawal are
+// identical to Do in every case.
+func (e *Engine) DoRouted(ctx context.Context, key string, payload func() any, compute func() (any, error)) (any, error) {
 	if key == "" {
 		if err := e.acquire(ctx); err != nil {
 			return nil, err
@@ -398,8 +400,8 @@ func (e *Engine) DoRouted(ctx context.Context, key string, payload any, compute 
 	// replica, not a local worker slot, so it skips acquire entirely.
 	// The entry is already owned, so concurrent requests for the key
 	// wait on this one routed flight.
-	if payload != nil && !routingDisabled(ctx) {
-		if rp := e.route.Load(); rp != nil {
+	if rp := e.route.Load(); rp != nil && payload != nil && !routingDisabled(ctx) {
+		if p := payload(); p != nil {
 			// Only observed requests pay for the RouteInfo allocation;
 			// the router finds the slot with RouteInfoFrom and fills in
 			// where the point actually ran.
@@ -408,7 +410,7 @@ func (e *Engine) DoRouted(ctx context.Context, key string, payload any, compute 
 			if hook != nil {
 				rctx, ri = withRouteInfo(ctx)
 			}
-			if val, handled, rerr := (*rp)(rctx, key, payload); handled {
+			if val, handled, rerr := (*rp)(rctx, key, p); handled {
 				if rerr == nil {
 					e.remote.Add(1)
 					e.storeSave(key, val)

@@ -1,7 +1,7 @@
 // Package exp is the experiment engine every sweep in this repository
 // runs on: a fixed-size worker pool that fans independent sweep points
 // out across GOMAXPROCS goroutines, returns results in deterministic
-// input order, and memoizes each point by a canonical fingerprint of its
+// input order, and memoizes each point by a canonical key of its
 // configuration so identical points — the same baseline chip appears in
 // several chapters' figures — are simulated exactly once per process.
 //
@@ -77,11 +77,6 @@ func DisableRouting(ctx context.Context) context.Context {
 	return engine.DisableRouting(ctx)
 }
 
-// Fingerprint canonically serializes a configuration value. fmt prints
-// map fields in sorted key order, so two equal values always produce the
-// same string regardless of construction order.
-func Fingerprint(v any) string { return engine.Fingerprint(v) }
-
 // IsCancellation reports whether err is a context cancellation or
 // deadline rather than a genuine computation failure.
 func IsCancellation(err error) bool { return engine.IsCancellation(err) }
@@ -96,7 +91,7 @@ func FirstError(errs []error, wrap func(int, error) error) error {
 	return engine.FirstError(errs, wrap)
 }
 
-// Point is one unit of experiment work: a canonical fingerprint plus the
+// Point is one unit of experiment work: a canonical key plus the
 // deterministic computation it identifies. Two points with equal non-empty
 // keys must describe identical computations; the engine computes each
 // distinct key at most once per process and serves later requests from
@@ -109,16 +104,17 @@ type Point[R any] interface {
 // Routable is implemented by points that can run somewhere other than
 // the local worker pool: RoutePayload returns a serializable
 // description of the computation — for the built-in points, the
-// sim.Config or sim.StructuralConfig itself — which the engine offers
-// to its installed Route (Engine.SetRoute) on a memo miss. A nil
-// payload, or a point that does not implement Routable, always computes
-// locally.
+// configuration's sim.WireConfig — which the engine offers to its
+// installed Route (Engine.SetRoute) on a memo miss. The engine calls
+// RoutePayload only when it is about to offer the point to a router,
+// never on a memo or store hit. A nil payload, or a point that does not
+// implement Routable, always computes locally.
 type Routable interface {
 	RoutePayload() any
 }
 
 // SimulatorConfig is the contract a configuration type meets to run as
-// a SimulatorPoint: canonical fingerprinting (Key), a self-describing
+// a SimulatorPoint: a canonical memo key (Key), a self-describing
 // wire payload for cluster routing (WirePayload), and the simulation
 // itself (Run). Both sim.Config and sim.StructuralConfig satisfy it.
 type SimulatorConfig[R any] interface {
@@ -129,13 +125,13 @@ type SimulatorConfig[R any] interface {
 
 // SimulatorPoint is the one engine point for every simulator kind —
 // the generic form behind SimPoint and StructuralPoint. Its key is the
-// defaults-applied configuration's canonical fingerprint, so two
+// defaults-applied configuration's canonical key, so two
 // configurations that differ only in fields the simulator would default
 // identically (e.g. an explicit crossbar vs the zero-value default)
 // share a key.
 type SimulatorPoint[R any, C SimulatorConfig[R]] struct{ Config C }
 
-// Key fingerprints the defaults-applied configuration.
+// Key is the defaults-applied configuration's memo key.
 func (p SimulatorPoint[R, C]) Key() string { return p.Config.Key() }
 
 // Compute runs the simulation.
@@ -167,7 +163,7 @@ type Func[R any] struct {
 	F func() (R, error)
 }
 
-// Key returns the caller-chosen fingerprint.
+// Key returns the caller-chosen key.
 func (p Func[R]) Key() string { return p.K }
 
 // Compute invokes the wrapped function.
@@ -212,11 +208,13 @@ func Points[R any](ctx context.Context, e *Engine, pts []Point[R]) ([]R, error) 
 }
 
 // resolve computes one point on the engine's pool and memo; routable
-// points offer their payload to the engine's router first.
+// points offer their payload to the engine's router first. The payload
+// is handed over unevaluated: the engine builds it only for a point it
+// is about to route.
 func resolve[R any](ctx context.Context, e *Engine, p Point[R]) (R, error) {
-	var payload any
+	var payload func() any
 	if rp, ok := p.(Routable); ok {
-		payload = rp.RoutePayload()
+		payload = rp.RoutePayload
 	}
 	v, err := e.DoRouted(ctx, p.Key(), payload, func() (any, error) { return p.Compute() })
 	if err != nil {

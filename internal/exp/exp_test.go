@@ -91,7 +91,7 @@ func TestEmptyKeySkipsMemo(t *testing.T) {
 }
 
 // Two sim.Configs that differ only in defaulted fields share one
-// canonical fingerprint — the cross-figure dedup the engine relies on.
+// canonical key — the cross-figure dedup the engine relies on.
 func TestSimPointCanonicalKey(t *testing.T) {
 	w := workload.Suite()[0]
 	implicit := sim.Config{Workload: w, CoreType: tech.OoO, Cores: 16, LLCMB: 4}
@@ -267,17 +267,35 @@ func TestMap(t *testing.T) {
 	}
 }
 
-// Fingerprint must canonicalize map-valued fields: two equal workloads
-// always print identically.
-func TestFingerprintDeterministic(t *testing.T) {
-	a := workload.Suite()[0]
-	b := workload.Suite()[0]
-	if Fingerprint(a) != Fingerprint(b) {
-		t.Fatal("equal workloads fingerprint differently")
+// payloadPoint is a routable point that counts its payload builds.
+type payloadPoint struct {
+	builds *atomic.Int64
+}
+
+func (p payloadPoint) Key() string           { return "payload-point" }
+func (p payloadPoint) Compute() (int, error) { return 1, nil }
+func (p payloadPoint) RoutePayload() any     { p.builds.Add(1); return "payload" }
+
+// A point's route payload is built only when the engine routes it: never
+// on an engine without a router, never on a memo hit.
+func TestRoutePayloadLazy(t *testing.T) {
+	var builds atomic.Int64
+	pts := []Point[int]{payloadPoint{&builds}}
+	if _, err := Points(context.Background(), New(1), pts); err != nil {
+		t.Fatal(err)
 	}
-	b.APKI++
-	if Fingerprint(a) == Fingerprint(b) {
-		t.Fatal("distinct workloads share a fingerprint")
+	if n := builds.Load(); n != 0 {
+		t.Fatalf("payload built %d times without a router, want 0", n)
+	}
+	e := New(1)
+	e.SetRoute(func(ctx context.Context, key string, payload any) (any, bool, error) { return 2, true, nil })
+	for i := 0; i < 2; i++ {
+		if out, err := Points(context.Background(), e, pts); err != nil || out[0] != 2 {
+			t.Fatalf("routed Points = %v, %v", out, err)
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("payload built %d times for one routed miss and one memo hit, want 1", n)
 	}
 }
 

@@ -42,10 +42,10 @@ type Decision struct {
 	Err bool `json:"err,omitempty"`
 }
 
-// KeyFingerprint condenses an engine memo key — a canonical but very
-// long configuration rendering — into a short stable hex fingerprint
-// for trace records and logs. Equal keys always produce equal
-// fingerprints, on every replica.
+// KeyFingerprint condenses an engine memo key (68–75 bytes for a
+// simulator point) into a short stable hex fingerprint for trace
+// records and logs. Equal keys always produce equal fingerprints, on
+// every replica.
 func KeyFingerprint(key string) string {
 	if key == "" {
 		return ""

@@ -126,7 +126,7 @@ func (c *Config) applyDefaults() error {
 
 // Canonical returns the configuration with every default applied — the
 // form under which two Configs describe the same simulation. Experiment
-// engines use it to fingerprint sweep points, so a Config with an
+// engines key sweep points by it (Key), so a Config with an
 // explicit default (say, Seed 1) deduplicates against one that left the
 // field zero. It reports an error for invalid configurations.
 func (c Config) Canonical() (Config, error) {
@@ -134,16 +134,17 @@ func (c Config) Canonical() (Config, error) {
 	return c, err
 }
 
-// Key canonically fingerprints the defaults-applied configuration — the
-// memo key under which experiment engines (internal/exp) deduplicate
-// identical sweep points. Invalid configurations key their raw form;
-// running them reports the validation error.
+// Key is the memo key under which experiment engines (internal/exp)
+// deduplicate identical sweep points: "sim:" plus the SHA-256 of the
+// defaults-applied configuration's wire fields (see configKey). Invalid
+// configurations key their raw fields under a marker no valid key
+// carries; running them reports the validation error.
 func (c Config) Key() string {
 	cc, err := c.Canonical()
 	if err != nil {
-		cc = c
+		return configKey(c.wireFields(), false)
 	}
-	return "sim:" + engine.Fingerprint(cc)
+	return configKey(cc.wireFields(), true)
 }
 
 // banksFor mirrors the analytic model's banking rule (Table 3.1): UCA

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"scaleout/internal/cache"
-	"scaleout/internal/exp/engine"
 	"scaleout/internal/noc"
 	"scaleout/internal/tech"
 	"scaleout/internal/trace"
@@ -77,22 +76,23 @@ func (c *StructuralConfig) applyDefaults() error {
 	return nil
 }
 
-// Canonical returns the configuration with every default applied, for
-// canonical fingerprinting by experiment engines (see Config.Canonical).
+// Canonical returns the configuration with every default applied, the
+// form experiment engines key points by (see Config.Canonical).
 func (c StructuralConfig) Canonical() (StructuralConfig, error) {
 	err := c.applyDefaults()
 	return c, err
 }
 
-// Key canonically fingerprints the defaults-applied configuration — the
-// memo key under which experiment engines deduplicate identical
-// structural sweep points.
+// Key is the memo key under which experiment engines deduplicate
+// identical structural sweep points: "structural:" plus the SHA-256 of
+// the defaults-applied configuration's wire fields, derived exactly as
+// Config.Key is.
 func (c StructuralConfig) Key() string {
 	cc, err := c.Canonical()
 	if err != nil {
-		cc = c
+		return configKey(c.wireFields(), false)
 	}
-	return "structural:" + engine.Fingerprint(cc)
+	return configKey(cc.wireFields(), true)
 }
 
 // base maps the structural configuration onto the statistical Config the

@@ -30,8 +30,9 @@ const WireVersion = 1
 // Producers build one with Config.Wire or StructuralConfig.Wire, which
 // canonicalize first and enforce round-trip key equality; consumers
 // decode bytes with UnmarshalWire and materialize the configuration
-// with Decode. The memo key is always re-derived from the decoded form
-// (Config.Key / StructuralConfig.Key), never carried on the wire.
+// with Decode. The memo key hashes these same fields (see configKey)
+// and is always re-derived from the decoded form (Config.Key /
+// StructuralConfig.Key), never carried on the wire.
 type WireConfig struct {
 	// Version is the encoding version (WireVersion); wire_version is
 	// the first field a receiver checks.
@@ -78,15 +79,13 @@ func (e *WireVersionError) Error() string {
 
 // Unroutable is the route payload of an engine point whose
 // configuration could not be converted to the wire form — an invalid
-// configuration, or one a future Config field is not yet carried for
-// (the round-trip key check in Wire catches that regression). Shipping
-// this marker instead of a nil payload keeps the failure visible: the
-// cluster coordinator counts and logs it before declining, so
-// representability gaps surface in /statsz rather than silently
-// computing locally.
+// configuration, a core type with no wire name, or a conversion the
+// round-trip key check in Wire rejects. Shipping this marker instead of
+// a nil payload keeps the failure visible: the cluster coordinator
+// counts and logs it before declining, so representability gaps surface
+// in /statsz rather than silently computing locally.
 type Unroutable struct {
-	// Key is the point's memo fingerprint; Err says why it cannot
-	// travel.
+	// Key is the point's memo key; Err says why it cannot travel.
 	Key string
 	Err error
 }
@@ -106,6 +105,16 @@ func coreWireName(t tech.CoreType) (string, bool) {
 	}
 }
 
+// coreToken is the core's wire name, or for a core type outside the
+// enum a placeholder no valid wire config carries, so such a
+// configuration still has a distinct memo key.
+func coreToken(t tech.CoreType) string {
+	if name, ok := coreWireName(t); ok {
+		return name
+	}
+	return fmt.Sprintf("core(%d)", int(t))
+}
+
 // parseWireCore is coreWireName's inverse.
 func parseWireCore(name string) (tech.CoreType, bool) {
 	switch name {
@@ -120,42 +129,65 @@ func parseWireCore(name string) (tech.CoreType, bool) {
 	}
 }
 
+// wireFields lays the configuration out field for field in wire form,
+// without validating it: the one field list behind both Wire and Key.
+func (c Config) wireFields() WireConfig {
+	return WireConfig{
+		Version:          WireVersion,
+		Kind:             "sim",
+		Workload:         c.Workload.Wire(),
+		Core:             coreToken(c.CoreType),
+		Cores:            c.Cores,
+		LLCMB:            c.LLCMB,
+		Net:              c.Net.Wire(),
+		MemChannels:      c.MemChannels,
+		WarmupCycles:     c.WarmupCycles,
+		MeasureCycles:    c.MeasureCycles,
+		Seed:             c.Seed,
+		DisableSWScaling: c.DisableSWScaling,
+	}
+}
+
+// wireFields is Config.wireFields for the structural simulator.
+func (c StructuralConfig) wireFields() WireConfig {
+	return WireConfig{
+		Version:       WireVersion,
+		Kind:          "structural",
+		Workload:      c.Workload.Wire(),
+		Core:          coreToken(c.CoreType),
+		Cores:         c.Cores,
+		LLCMB:         c.LLCMB,
+		Net:           c.Net.Wire(),
+		MemChannels:   c.MemChannels,
+		WarmupCycles:  c.WarmupCycles,
+		MeasureCycles: c.MeasureCycles,
+		Seed:          c.Seed,
+		L1MSHRs:       c.L1MSHRs,
+	}
+}
+
 // Wire converts the configuration to its canonical wire form. The
 // configuration is canonicalized first (defaults applied), so two
 // Configs with equal Keys marshal identically; the conversion then
 // decodes its own output and verifies the re-derived memo key matches —
-// the loud failure that catches a new Config field the wire form does
-// not carry yet. An error here makes the point unroutable (see
+// the loud failure that catches an asymmetric Config ↔ WireConfig
+// conversion. An error here makes the point unroutable (see
 // WirePayload), never silently lossy.
 func (c Config) Wire() (WireConfig, error) {
 	cc, err := c.Canonical()
 	if err != nil {
 		return WireConfig{}, fmt.Errorf("sim: invalid config: %w", err)
 	}
-	core, ok := coreWireName(cc.CoreType)
-	if !ok {
+	if _, ok := coreWireName(cc.CoreType); !ok {
 		return WireConfig{}, fmt.Errorf("sim: core type %v has no wire name", cc.CoreType)
 	}
-	w := WireConfig{
-		Version:          WireVersion,
-		Kind:             "sim",
-		Workload:         cc.Workload.Wire(),
-		Core:             core,
-		Cores:            cc.Cores,
-		LLCMB:            cc.LLCMB,
-		Net:              cc.Net.Wire(),
-		MemChannels:      cc.MemChannels,
-		WarmupCycles:     cc.WarmupCycles,
-		MeasureCycles:    cc.MeasureCycles,
-		Seed:             cc.Seed,
-		DisableSWScaling: cc.DisableSWScaling,
-	}
+	w := cc.wireFields()
 	dec, err := w.simConfig()
 	if err != nil {
 		return WireConfig{}, fmt.Errorf("sim: wire round-trip: %w", err)
 	}
-	if dec.Key() != c.Key() {
-		return WireConfig{}, fmt.Errorf("sim: wire round-trip changes the memo key for %s — a Config field is not carried by WireConfig", c.Key())
+	if key := configKey(w, true); dec.Key() != key {
+		return WireConfig{}, fmt.Errorf("sim: wire round-trip changes the memo key for %s — Config and WireConfig do not convert symmetrically", key)
 	}
 	return w, nil
 }
@@ -168,30 +200,16 @@ func (c StructuralConfig) Wire() (WireConfig, error) {
 	if err != nil {
 		return WireConfig{}, fmt.Errorf("sim: invalid structural config: %w", err)
 	}
-	core, ok := coreWireName(cc.CoreType)
-	if !ok {
+	if _, ok := coreWireName(cc.CoreType); !ok {
 		return WireConfig{}, fmt.Errorf("sim: core type %v has no wire name", cc.CoreType)
 	}
-	w := WireConfig{
-		Version:       WireVersion,
-		Kind:          "structural",
-		Workload:      cc.Workload.Wire(),
-		Core:          core,
-		Cores:         cc.Cores,
-		LLCMB:         cc.LLCMB,
-		Net:           cc.Net.Wire(),
-		MemChannels:   cc.MemChannels,
-		WarmupCycles:  cc.WarmupCycles,
-		MeasureCycles: cc.MeasureCycles,
-		Seed:          cc.Seed,
-		L1MSHRs:       cc.L1MSHRs,
-	}
+	w := cc.wireFields()
 	dec, err := w.structuralConfig()
 	if err != nil {
 		return WireConfig{}, fmt.Errorf("sim: wire round-trip: %w", err)
 	}
-	if dec.Key() != c.Key() {
-		return WireConfig{}, fmt.Errorf("sim: wire round-trip changes the memo key for %s — a StructuralConfig field is not carried by WireConfig", c.Key())
+	if key := configKey(w, true); dec.Key() != key {
+		return WireConfig{}, fmt.Errorf("sim: wire round-trip changes the memo key for %s — StructuralConfig and WireConfig do not convert symmetrically", key)
 	}
 	return w, nil
 }

@@ -1,9 +1,11 @@
 // Package store persists simulator results across processes: a
 // crash-safe, append-only, content-addressed log keyed by the same
-// canonical configuration fingerprints the experiment engine memoizes
-// under (sim.Config.Key, sim.StructuralConfig.Key), so every soproc
-// invocation, soprocd restart, and cluster-replica crash recovery is a
-// warm start instead of a recomputation.
+// canonical memo keys the experiment engine memoizes under
+// (sim.Config.Key, sim.StructuralConfig.Key: the kind, a colon and the
+// hex SHA-256 of the configuration's canonical wire fields, 68–75
+// bytes), so every soproc invocation, soprocd restart, and
+// cluster-replica crash recovery is a warm start instead of a
+// recomputation.
 //
 // A Store implements engine.Store and installs on an engine with
 // Engine.SetStore as a read-through/write-through second tier beneath
@@ -19,10 +21,16 @@
 //
 // One file, results.log, in the store directory:
 //
-//	header:  8 bytes, "SOSTORE1" (magic + format version)
+//	header:  8 bytes, "SOSTORE2" (magic + format version)
 //	record:  uint32 LE payload length
 //	         uint32 LE CRC32-IEEE of the payload
 //	         payload = kind byte | uint32 LE key length | key | value JSON
+//
+// Version 2 marks the hashed memo keys. A version-1 log ("SOSTORE1")
+// holds records keyed in the retired Go-syntax format that no build
+// looks up again; since they are never superseded, auto-compaction
+// would never drop them, so Open replaces such a log with an empty
+// version-2 one through the compaction path instead of replaying it.
 //
 // Appends are single write(2) calls, so a crash can tear at most the
 // final record. Open scans the log sequentially: a record whose CRC
@@ -32,13 +40,14 @@
 // never needs a recovery tool: reopening it is the recovery.
 //
 // Compaction rewrites the live records (one per key, sorted) into a
-// temporary file that atomically renames over the log, so a crash
-// mid-compaction leaves either the old log or the new one, never a
-// hybrid. Open compacts automatically when dead records (skipped or
-// superseded) outnumber live ones.
+// temporary file that is synced, renamed over the log, and made durable
+// by syncing the directory, so a crash mid-compaction leaves either the
+// old log or the new one, never a hybrid. Open compacts automatically
+// when dead records (skipped or superseded) outnumber live ones.
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -52,9 +61,14 @@ import (
 	"scaleout/internal/sim"
 )
 
-// magic is the log header: format name plus version. A file that does
-// not begin with it is not a result log, and Open refuses to touch it.
-const magic = "SOSTORE1"
+// magic is the log header: format name plus version. A file that
+// begins with neither it nor retiredMagic is not a result log, and Open
+// refuses to touch it.
+const magic = "SOSTORE2"
+
+// retiredMagic heads a version-1 log, whose records are keyed in a
+// retired format; Open starts such a log afresh.
+const retiredMagic = "SOSTORE1"
 
 // LogName is the log's file name inside the store directory.
 const LogName = "results.log"
@@ -63,9 +77,9 @@ const LogName = "results.log"
 // git-ignored at the repository root.
 const DefaultDir = ".sostore"
 
-// maxRecord bounds one record's payload. Real records are a few KB (a
-// canonical fingerprint plus a result's JSON); a length field beyond
-// this is framing corruption, not a record.
+// maxRecord bounds one record's payload. Real records are a few hundred
+// bytes (a memo key plus a result's JSON); a length field beyond this
+// is framing corruption, not a record.
 const maxRecord = 16 << 20
 
 // Result kinds, the first payload byte of every record. The store
@@ -108,7 +122,7 @@ type Store struct {
 // before the first request, which is what re-warms a restarted daemon's
 // shard before it takes traffic. A corrupt tail is truncated, CRC-
 // mismatched records are skipped, and a log more than half dead is
-// compacted in place.
+// compacted in place. A version-1 log is replaced by an empty one.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -119,11 +133,12 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{f: f, path: path, index: make(map[string]record)}
-	if err := s.replay(); err != nil {
+	retired, err := s.replay()
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if s.dead > 0 && s.dead >= len(s.index) {
+	if retired || (s.dead > 0 && s.dead >= len(s.index)) {
 		if err := s.compactLocked(); err != nil {
 			f.Close()
 			return nil, err
@@ -133,21 +148,27 @@ func Open(dir string) (*Store, error) {
 }
 
 // replay scans the log, building the index and truncating any corrupt
-// tail. Called once from Open, before the store is shared.
-func (s *Store) replay() error {
+// tail. It reports a version-1 log as retired without reading its
+// records: the index stays empty, and compacting it over the file
+// starts a fresh log. Called once from Open, before the store is
+// shared.
+func (s *Store) replay() (retired bool, err error) {
 	buf, err := os.ReadFile(s.path)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return false, fmt.Errorf("store: %w", err)
 	}
 	if len(buf) == 0 {
 		if _, err := s.f.Write([]byte(magic)); err != nil {
-			return fmt.Errorf("store: write header: %w", err)
+			return false, fmt.Errorf("store: write header: %w", err)
 		}
 		s.size = int64(len(magic))
-		return nil
+		return false, nil
+	}
+	if bytes.HasPrefix(buf, []byte(retiredMagic)) {
+		return true, nil
 	}
 	if len(buf) < len(magic) || string(buf[:len(magic)]) != magic {
-		return fmt.Errorf("store: %s is not a result log (bad header)", s.path)
+		return false, fmt.Errorf("store: %s is not a result log (bad header)", s.path)
 	}
 
 	end := len(magic) // offset past the last well-framed record
@@ -182,14 +203,14 @@ func (s *Store) replay() error {
 	}
 	if end < len(buf) {
 		if err := s.f.Truncate(int64(end)); err != nil {
-			return fmt.Errorf("store: truncate corrupt tail: %w", err)
+			return false, fmt.Errorf("store: truncate corrupt tail: %w", err)
 		}
 	}
 	if _, err := s.f.Seek(int64(end), 0); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return false, fmt.Errorf("store: %w", err)
 	}
 	s.size = int64(end)
-	return nil
+	return false, nil
 }
 
 // Load returns the stored result for key, decoded into the same typed
@@ -295,8 +316,10 @@ func (s *Store) Len() int {
 
 // Compact rewrites the log as one record per live key (sorted, so the
 // compacted form is deterministic) in a temporary file that atomically
-// renames over the log. Dead bytes — superseded, skipped, or truncated
-// records — are dropped.
+// renames over the log; the directory is synced after the rename, so
+// neither the rename nor the records appended after it can vanish in a
+// power loss. Dead bytes — superseded, skipped, or truncated records —
+// are dropped.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -356,7 +379,26 @@ func (s *Store) compactLocked() error {
 	s.size = size
 	s.dead = 0
 	s.compactions.Add(1)
+	// The rename is durable only once the directory entry is: sync it
+	// before any append lands in the new file.
+	if err := syncDir(filepath.Dir(s.path)); err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
 	return nil
+}
+
+// syncDir forces a directory's entries — a rename inside it — to stable
+// storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Flush forces the log's buffered writes to stable storage (fsync).

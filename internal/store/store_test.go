@@ -336,11 +336,50 @@ func TestCachedProbesDisk(t *testing.T) {
 }
 
 func TestOpenRejectsForeignFile(t *testing.T) {
+	for _, content := range []string{"not a log", "SOSTORE3", "SOSTORE"} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, LogName)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); err == nil {
+			t.Fatalf("Open accepted a file headed %q", content)
+		}
+		if got, _ := os.ReadFile(path); string(got) != content {
+			t.Fatalf("Open rewrote a foreign file: %q", got)
+		}
+	}
+}
+
+// TestOpenRetiresVersion1Log: a version-1 log is keyed in a format no
+// build looks up again, so Open starts a fresh version-2 log over it —
+// by compacting an empty index over the file — rather than replaying
+// records that would never be served nor compacted away.
+func TestOpenRetiresVersion1Log(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, LogName), []byte("not a log"), 0o644); err != nil {
+	path := filepath.Join(dir, LogName)
+	old := append([]byte(retiredMagic), encodeRecord(kindSim, `sim:sim.Config{Cores:16}`, []byte(`{"cycles":1}`))...)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("Open accepted a file without the log header")
+
+	s := open(t, dir)
+	st := s.Stats()
+	if st.Loaded != 0 || st.Entries != 0 || st.Compactions != 1 || st.Bytes != int64(len(magic)) {
+		t.Fatalf("stats after opening a version-1 log = %+v, want an empty, compacted log", st)
+	}
+	if got, _ := os.ReadFile(path); string(got) != magic {
+		t.Fatalf("log after Open = %q, want only the %s header", got, magic)
+	}
+	s.Save("k", simVal(1))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := open(t, dir)
+	if st := r.Stats(); st.Loaded != 1 || st.Compactions != 0 {
+		t.Fatalf("reopened stats = %+v, want the one new record and no compaction", st)
+	}
+	if _, ok := r.Load("k"); !ok {
+		t.Fatal("record appended after the retirement was lost")
 	}
 }
