@@ -25,6 +25,7 @@ import (
 	"scaleout/internal/stats"
 	"scaleout/internal/tco"
 	"scaleout/internal/tech"
+	"scaleout/internal/tier"
 	"scaleout/internal/trace"
 	"scaleout/internal/workload"
 )
@@ -78,49 +79,48 @@ func BenchmarkTable6_2(b *testing.B) { benchExperiment(b, "table6.2") }
 // Full-harness regeneration on the experiment engine. Each iteration
 // uses a fresh engine (fresh memo), so the numbers measure real
 // simulation work; the Serial/Parallel pair tracks the speedup from the
-// concurrent sweep runner in the perf trajectory.
+// concurrent sweep runner, and the Parallel/ExactTier pair the speedup
+// from serving anchored points in exact tier mode.
 
-func benchRunAll(b *testing.B, workers int) {
+// benchRunAll regenerates every figure per iteration on a fresh engine
+// of the given size, through ev when it is non-nil.
+func benchRunAll(b *testing.B, workers int, ev *tier.Evaluator) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		ctx := exp.WithEngine(context.Background(), exp.New(workers))
+		if ev != nil {
+			ctx = exp.WithTier(ctx, ev)
+		}
 		if _, err := figures.RunAllContext(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkRunAllSerial(b *testing.B)   { benchRunAll(b, 1) }
-func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0) }
+func BenchmarkRunAllSerial(b *testing.B)   { benchRunAll(b, 1, nil) }
+func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0, nil) }
 
-// Substrate microbenchmarks.
-
-// bench64CorePod measures one kernel's throughput on the
-// high-core-count, high-stall pod the wakeup schedule targets.
-func bench64CorePod(b *testing.B, run func(sim.Config) (sim.Result, error)) {
-	b.Helper()
-	ws := workload.Suite()
-	cfg := sim.Config{
-		Workload: ws[0], CoreType: tech.OoO, Cores: 64, LLCMB: 8,
-		Net: noc.New(noc.Mesh, 64), MemChannels: 4,
+// BenchmarkRunAllExactTier is BenchmarkRunAllParallel in exact tier
+// mode, against a calibration that anchored the whole figure suite.
+// Calibrating — the one-off cost the tier amortizes — happens before
+// the timer starts. CI requires RunAllParallel/RunAllExactTier to stay
+// above 1.3.
+func BenchmarkRunAllExactTier(b *testing.B) {
+	cal, err := tier.Calibrate(context.Background(), tier.Options{
+		Suites: func(ctx context.Context) error {
+			_, err := figures.RunAllContext(ctx)
+			return err
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.ResetTimer()
+	benchRunAll(b, 0, tier.New(cal, tier.Exact))
 }
 
-func BenchmarkSimulator64CorePod(b *testing.B) { bench64CorePod(b, sim.Run) }
-
-// Kernel trajectory: the event-scheduled kernel vs the lock-step
-// reference. The Event/Lockstep ratio is the kernel speedup recorded in
-// BENCH_kernel.json (`soproc -bench`); both produce byte-identical
-// results (TestKernelEquivalence).
-
-func BenchmarkKernelEvent64Core(b *testing.B)    { bench64CorePod(b, sim.Run) }
-func BenchmarkKernelLockstep64Core(b *testing.B) { bench64CorePod(b, sim.RunLockstep) }
+// Substrate microbenchmarks. The kernel pairs (event vs lock-step
+// reference) live with the kernel, in internal/sim.
 
 func BenchmarkAnalyticChipIPC(b *testing.B) {
 	ws := workload.Suite()

@@ -20,7 +20,6 @@
 //	                             byte-identical). -store-dir relocates
 //	                             the log; -stats-json dumps the engine
 //	                             and store counters for scripting
-//	soproc -bench                time the kernels, write BENCH_kernel.json
 //	soproc -all -tier exact -calibration cal.json
 //	                             tiered regeneration: anchors recorded by
 //	                             cmd/calibrate serve matching points without
@@ -44,16 +43,7 @@
 // Experiments run on the parallel, memoizing engine (internal/exp):
 // sweep points fan out across -parallel workers (default GOMAXPROCS)
 // and identical configurations shared between figures are simulated
-// once. Output is deterministic — independent of the worker count and
-// of which simulation kernel runs the points.
-//
-// -bench times representative sweep points — including structural
-// points at 16/32/64 cores — and the full harness on the
-// event-scheduled kernel and the lock-step reference kernel and records
-// ns/point plus speedups in BENCH_kernel.json (see -bench-out,
-// -bench-iters) — the repo's kernel performance trajectory. -cpuprofile
-// additionally captures a CPU profile of the whole benchmark run, so a
-// CI smoke failure ships its own diagnosis.
+// once. Output is deterministic — independent of the worker count.
 package main
 
 import (
@@ -91,10 +81,6 @@ func main() {
 	useStore := flag.Bool("store", false, "persist simulator results in -store-dir; a later run serves matching points from disk instead of re-simulating")
 	storeDir := flag.String("store-dir", store.DefaultDir, "persistent result store directory (with -store)")
 	statsJSON := flag.String("stats-json", "", "write engine and store statistics as JSON to this path after the run")
-	bench := flag.Bool("bench", false, "benchmark the simulation kernels and write a JSON report")
-	benchOut := flag.String("bench-out", "BENCH_kernel.json", "benchmark report path (with -bench)")
-	benchIters := flag.Int("bench-iters", 5, "measured iterations per benchmark point (with -bench)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this path (with -bench)")
 	traceLevel := flag.String("trace-level", "off", "decision tracing: off, or decisions to stream one JSON line per engine decision to -trace-out")
 	traceOut := flag.String("trace-out", "", "decision-trace destination path (with -trace-level decisions; empty = stderr)")
 	flag.Parse()
@@ -102,13 +88,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "soproc: -trace-level must be off or decisions, got %q\n", *traceLevel)
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *bench {
-		if err := runBench(*benchOut, *benchIters, *parallel, *cpuProfile); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	// An unknown -format must be a hard usage error, not a silent fall

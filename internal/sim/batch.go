@@ -55,7 +55,6 @@ func RunStructuralBatchContext(ctx context.Context, cfgs []StructuralConfig) ([]
 	}
 
 	e := engine.FromContext(ctx)
-	lockstep := lockstepKernel.Load()
 
 	// Chunk each shape group so a single dominant shape still spreads
 	// across the pool; every chunk keeps the one-machine amortization
@@ -81,7 +80,7 @@ func RunStructuralBatchContext(ctx context.Context, cfgs []StructuralConfig) ([]
 		go func(ci int, idxs []int) {
 			defer wg.Done()
 			_, errs[ci] = e.Do(ctx, "", func() (any, error) {
-				return nil, runStructChunk(ctx, canon, idxs, out, lockstep)
+				return nil, runStructChunk(ctx, canon, idxs, out)
 			})
 		}(ci, ch.idxs)
 	}
@@ -94,11 +93,11 @@ func RunStructuralBatchContext(ctx context.Context, cfgs []StructuralConfig) ([]
 
 // runStructChunk runs one same-shape slice of the batch on a single
 // machine, resetting it in place between points.
-func runStructChunk(ctx context.Context, canon []StructuralConfig, idxs []int, out []StructuralResult, lockstep bool) error {
+func runStructChunk(ctx context.Context, canon []StructuralConfig, idxs []int, out []StructuralResult) error {
 	var m *structMachine
 	defer func() {
 		if m != nil {
-			releaseStructMachine(m)
+			machinePool.put(m)
 		}
 	}()
 	for _, i := range idxs {
@@ -115,22 +114,11 @@ func runStructChunk(ctx context.Context, canon []StructuralConfig, idxs []int, o
 		if err != nil {
 			return err
 		}
-		if lockstep {
-			runLockstepOn(&m.kernel, m, cfg.WarmupCycles)
-			m.resetStructStats()
-			runLockstepOn(&m.kernel, m, cfg.MeasureCycles)
-		} else {
-			runEvent(&m.kernel, m, cfg.WarmupCycles)
-			m.resetStructStats()
-			runEvent(&m.kernel, m, cfg.MeasureCycles)
-		}
-		if m.err != nil {
+		if out[i], err = m.simulate(); err != nil {
 			// A poisoned machine is dropped, not pooled or reused.
-			err := m.err
 			m = nil
 			return err
 		}
-		out[i] = m.structResult()
 	}
 	return nil
 }

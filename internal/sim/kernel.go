@@ -34,17 +34,16 @@
 //   - Randomness is per-core (counter RNGs), so per-core draw order is
 //     untouched by scheduling.
 //
-// runLockstep keeps the seed loop as the behavioural reference; the
-// golden tests in kernel_test.go assert byte-identical results across
-// core counts, core types, NoC kinds, and both simulators, and
-// UseLockstepKernel lets benchmark harnesses measure the speedup on
-// unmodified workloads.
+// The seed loop survives only as the behavioural reference, in
+// kernel_ref_test.go: the golden tests in kernel_test.go assert
+// byte-identical results across core counts, core types, NoC kinds,
+// and both simulators, and the BenchmarkKernel{Event,Lockstep} pairs
+// measure the speedup on unmodified workloads.
 package sim
 
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"scaleout/internal/cache"
 	"scaleout/internal/stats"
@@ -213,7 +212,6 @@ type kernel struct {
 	dir    *cache.Directory
 	now    int64
 	sched  wakeWheel
-	model  coreModel
 	states []*coreState // model.core(i) for every core, devirtualized
 
 	// measured stats
@@ -245,7 +243,6 @@ func newKernel(cfg Config) (kernel, error) {
 // call. A pooled machine re-attaching with an unchanged core count
 // reuses the wheel's buckets and the state slice in place.
 func (k *kernel) attach(model coreModel) {
-	k.model = model
 	words := (k.cfg.Cores + 63) / 64
 	if len(k.states) == k.cfg.Cores && k.sched.words == words {
 		clear(k.sched.slots)
@@ -260,38 +257,6 @@ func (k *kernel) attach(model coreModel) {
 	}
 }
 
-// lockstepKernel routes Run/RunStructural onto the lock-step reference
-// kernel; see UseLockstepKernel.
-var lockstepKernel atomic.Bool
-
-// UseLockstepKernel selects the lock-step reference kernel for
-// subsequent Run/RunStructural calls (true) or the event-scheduled
-// kernel (false, the default). Results are byte-identical either way;
-// the switch exists so benchmark harnesses (`soproc -bench`, the
-// BenchmarkKernel* pair) can measure the event kernel's speedup on
-// unmodified workloads. Do not toggle while simulations are running.
-func UseLockstepKernel(on bool) { lockstepKernel.Store(on) }
-
-// simulateOn runs the warmup and measured windows on the selected
-// kernel, with the concrete machine type M devirtualizing the step
-// calls.
-func simulateOn[M coreModel](k *kernel, model M, warmup, measure int, lockstep bool) {
-	if lockstep {
-		runLockstepOn(k, model, warmup)
-		k.resetStats()
-		runLockstepOn(k, model, measure)
-		return
-	}
-	runEvent(k, model, warmup)
-	k.resetStats()
-	runEvent(k, model, measure)
-}
-
-// run advances the machine by the given number of cycles on the wakeup
-// schedule; see runEvent. (Interface-typed form for tests; simulators
-// call runEvent/runLockstepOn with their concrete type.)
-func (k *kernel) run(cycles int) { runEvent(k, k.model, cycles) }
-
 // runEvent advances the machine by the given number of cycles on the
 // wakeup schedule. Wakeups past the window stay queued: a core blocked
 // across the warmup/measure boundary resumes at the same cycle the
@@ -299,9 +264,7 @@ func (k *kernel) run(cycles int) { runEvent(k, k.model, cycles) }
 //
 // The loop is generic over the concrete machine type so the per-event
 // stepActive call — the hottest indirect call in the simulator —
-// devirtualizes when a machine runs itself (simulators pass their
-// concrete type; the kernel.run wrapper keeps the interface form for
-// tests).
+// devirtualizes when a machine runs itself.
 func runEvent[M coreModel](k *kernel, model M, cycles int) {
 	end := k.now + int64(cycles)
 	w := &k.sched
@@ -333,26 +296,6 @@ func runEvent[M coreModel](k *kernel, model M, cycles int) {
 		}
 	}
 	k.now = end
-}
-
-// runLockstepOn advances the machine with the seed kernel's cycle loop —
-// polling every core every cycle — as the behavioural reference for the
-// golden equivalence tests and the benchmark baseline.
-func runLockstepOn[M coreModel](k *kernel, model M, cycles int) {
-	end := k.now + int64(cycles)
-	for ; k.now < end; k.now++ {
-		for i := 0; i < k.cfg.Cores; i++ {
-			c := k.states[i]
-			if c.stallDebt >= 1 {
-				c.stallDebt--
-				continue
-			}
-			if k.now < c.blockedUntil {
-				continue
-			}
-			model.stepActive(i)
-		}
-	}
 }
 
 func (k *kernel) resetStats() {

@@ -46,7 +46,7 @@ func TestKernelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lockstep, err := RunLockstep(tc.cfg)
+			lockstep, err := runLockstep(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestKernelEquivalenceStructural(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lockstep, err := RunStructuralLockstep(tc.cfg)
+			lockstep, err := runStructuralLockstep(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,26 +91,6 @@ func TestKernelEquivalenceStructural(t *testing.T) {
 				t.Fatalf("kernels diverged:\nevent:    %+v\nlockstep: %+v", event, lockstep)
 			}
 		})
-	}
-}
-
-// UseLockstepKernel reroutes the plain entry points, so benchmark
-// harnesses measure the reference kernel on unmodified workloads.
-func TestUseLockstepKernel(t *testing.T) {
-	cfg := Config{Workload: workload.Suite()[0], CoreType: tech.OoO, Cores: 4, LLCMB: 1,
-		WarmupCycles: 1000, MeasureCycles: 2000}
-	event, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	UseLockstepKernel(true)
-	defer UseLockstepKernel(false)
-	rerouted, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if event != rerouted {
-		t.Fatalf("rerouted lockstep run differs:\n%+v\n%+v", event, rerouted)
 	}
 }
 
@@ -222,7 +202,7 @@ func TestResetStatsPreservesCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.run(cfg.WarmupCycles)
+	runEvent(&m.kernel, m, cfg.WarmupCycles)
 	if m.dir.TrackedBlocks() == 0 {
 		t.Fatal("warmup tracked no shared blocks")
 	}

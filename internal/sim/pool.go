@@ -15,7 +15,6 @@ package sim
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"scaleout/internal/cache"
 	"scaleout/internal/tech"
@@ -73,23 +72,6 @@ var machinePool = &structMachinePool{
 	limit: 2 * runtime.GOMAXPROCS(0),
 }
 
-// machinePoolDisabled turns acquire/release into plain construction and
-// disposal; see UseMachinePool.
-var machinePoolDisabled atomic.Bool
-
-// UseMachinePool selects whether RunStructural recycles machines
-// through the shape-keyed pool (true, the default) or constructs a
-// fresh machine per run (false). Results are byte-identical either way;
-// the switch exists so benchmark harnesses and the pool's own golden
-// tests can measure and verify the reuse path. Disabling drains the
-// pool.
-func UseMachinePool(on bool) {
-	machinePoolDisabled.Store(!on)
-	if !on {
-		machinePool.drain()
-	}
-}
-
 func (p *structMachinePool) get(shape machineShape) *structMachine {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -130,34 +112,16 @@ func (p *structMachinePool) put(m *structMachine) {
 	p.total++
 }
 
-func (p *structMachinePool) drain() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	clear(p.free)
-	p.order = p.order[:0]
-	p.total = 0
-}
-
 // acquireStructMachine returns a machine ready to run cfg: a pooled
 // machine of matching shape reset in place, or a fresh construction.
 func acquireStructMachine(cfg StructuralConfig) (*structMachine, error) {
-	if !machinePoolDisabled.Load() {
-		if m := machinePool.get(shapeOf(cfg)); m != nil {
-			if err := m.reset(cfg); err != nil {
-				return nil, err
-			}
-			return m, nil
+	if m := machinePool.get(shapeOf(cfg)); m != nil {
+		if err := m.reset(cfg); err != nil {
+			return nil, err
 		}
+		return m, nil
 	}
 	return newStructMachine(cfg)
-}
-
-// releaseStructMachine returns a finished machine to the pool.
-func releaseStructMachine(m *structMachine) {
-	if machinePoolDisabled.Load() {
-		return
-	}
-	machinePool.put(m)
 }
 
 // prefillKey identifies a warm-start LLC image: the fill replays the

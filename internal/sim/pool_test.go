@@ -9,6 +9,30 @@ import (
 	"scaleout/internal/workload"
 )
 
+// freshStructMachine builds a machine for cfg with newStructMachine,
+// bypassing the pool: the cold construction a recycled machine's reset
+// must reproduce exactly. The machine never enters the pool.
+func freshStructMachine(tb testing.TB, cfg StructuralConfig) *structMachine {
+	tb.Helper()
+	if err := cfg.applyDefaults(); err != nil {
+		tb.Fatal(err)
+	}
+	m, err := newStructMachine(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// drain empties the pool, so a test starts from a known state.
+func (p *structMachinePool) drain() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	clear(p.free)
+	p.order = p.order[:0]
+	p.total = 0
+}
+
 // Golden pool-equivalence test: a machine recycled through the pool and
 // reset for a new configuration must produce results byte-identical to
 // a freshly constructed machine — across shape-sharing configurations
@@ -34,20 +58,19 @@ func TestMachinePoolEquivalence(t *testing.T) {
 		short(StructuralConfig{Workload: ws[0], CoreType: tech.OoO, Cores: 8, LLCMB: 2}), // repeat of [0]
 	}
 
-	// Fresh baseline: pool disabled, every run constructs.
-	UseMachinePool(false)
+	// Fresh baseline: every run constructs a machine outside the pool.
 	fresh := make([]StructuralResult, len(cfgs))
 	for i, cfg := range cfgs {
-		r, err := RunStructural(cfg)
+		r, err := freshStructMachine(t, cfg).simulate()
 		if err != nil {
 			t.Fatalf("fresh cfg %d: %v", i, err)
 		}
 		fresh[i] = r
 	}
 
-	// Pooled pass: same sequence, machines recycled in between.
-	UseMachinePool(true)
-	defer UseMachinePool(true) // leave the default state behind
+	// Pooled pass: same sequence, from an empty pool, machines recycled
+	// in between.
+	machinePool.drain()
 	for i, cfg := range cfgs {
 		r, err := RunStructural(cfg)
 		if err != nil {
@@ -76,15 +99,13 @@ func TestMachinePoolEquivalence(t *testing.T) {
 func TestMachinePoolEquivalenceLockstep(t *testing.T) {
 	cfg := StructuralConfig{Workload: workload.Suite()[0], CoreType: tech.OoO, Cores: 8, LLCMB: 2,
 		WarmupCycles: 6000, MeasureCycles: 8000}
-	UseMachinePool(false)
-	fresh, err := RunStructuralLockstep(cfg)
+	fresh, err := freshStructMachine(t, cfg).simulateLockstep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	UseMachinePool(true)
-	defer UseMachinePool(true)
+	machinePool.drain()
 	for i := 0; i < 3; i++ {
-		pooled, err := RunStructuralLockstep(cfg)
+		pooled, err := runStructuralLockstep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,8 +118,6 @@ func TestMachinePoolEquivalenceLockstep(t *testing.T) {
 // The pool must never retain more machines than its global bound, and
 // eviction must leave the bookkeeping consistent.
 func TestMachinePoolBound(t *testing.T) {
-	UseMachinePool(true)
-	defer UseMachinePool(true)
 	machinePool.drain()
 	cfg := StructuralConfig{Workload: workload.Suite()[0], CoreType: tech.OoO, Cores: 4, LLCMB: 1,
 		WarmupCycles: 500, MeasureCycles: 500}
@@ -116,7 +135,7 @@ func TestMachinePoolBound(t *testing.T) {
 		ms = append(ms, m)
 	}
 	for _, m := range ms {
-		releaseStructMachine(m)
+		machinePool.put(m)
 	}
 	machinePool.mu.Lock()
 	total, orderLen := machinePool.total, len(machinePool.order)

@@ -176,18 +176,6 @@ const sharedPoolBlocks = 512
 
 // Run simulates the configuration and returns measured results.
 func Run(cfg Config) (Result, error) {
-	return runKernel(cfg, lockstepKernel.Load())
-}
-
-// RunLockstep simulates the configuration on the lock-step reference
-// kernel — the seed implementation that polls every core every cycle.
-// Results are byte-identical to Run; it exists as the baseline for the
-// kernel-equivalence golden tests and the `soproc -bench` harness.
-func RunLockstep(cfg Config) (Result, error) {
-	return runKernel(cfg, true)
-}
-
-func runKernel(cfg Config, lockstep bool) (Result, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return Result{}, err
 	}
@@ -195,7 +183,9 @@ func runKernel(cfg Config, lockstep bool) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	simulateOn(&m.kernel, m, cfg.WarmupCycles, cfg.MeasureCycles, lockstep)
+	runEvent(&m.kernel, m, cfg.WarmupCycles)
+	m.resetStats()
+	runEvent(&m.kernel, m, cfg.MeasureCycles)
 	return m.result(), nil
 }
 

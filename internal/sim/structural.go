@@ -163,16 +163,6 @@ type structMachine struct {
 
 // RunStructural simulates the configuration in structural mode.
 func RunStructural(cfg StructuralConfig) (StructuralResult, error) {
-	return runStructuralKernel(cfg, lockstepKernel.Load())
-}
-
-// RunStructuralLockstep simulates the configuration on the lock-step
-// reference kernel; see RunLockstep.
-func RunStructuralLockstep(cfg StructuralConfig) (StructuralResult, error) {
-	return runStructuralKernel(cfg, true)
-}
-
-func runStructuralKernel(cfg StructuralConfig, lockstep bool) (StructuralResult, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return StructuralResult{}, err
 	}
@@ -180,22 +170,26 @@ func runStructuralKernel(cfg StructuralConfig, lockstep bool) (StructuralResult,
 	if err != nil {
 		return StructuralResult{}, err
 	}
-	if lockstep {
-		runLockstepOn(&m.kernel, m, cfg.WarmupCycles)
-		m.resetStructStats()
-		runLockstepOn(&m.kernel, m, cfg.MeasureCycles)
-	} else {
-		runEvent(&m.kernel, m, cfg.WarmupCycles)
-		m.resetStructStats()
-		runEvent(&m.kernel, m, cfg.MeasureCycles)
-	}
-	if m.err != nil {
+	res, err := m.simulate()
+	if err != nil {
 		// A poisoned machine is dropped, not pooled.
+		return StructuralResult{}, err
+	}
+	machinePool.put(m)
+	return res, nil
+}
+
+// simulate runs the machine's configured warmup and measured windows
+// and returns the measured results, or the structural invariant
+// violation that poisoned the machine mid-run.
+func (m *structMachine) simulate() (StructuralResult, error) {
+	runEvent(&m.kernel, m, m.scfg.WarmupCycles)
+	m.resetStructStats()
+	runEvent(&m.kernel, m, m.scfg.MeasureCycles)
+	if m.err != nil {
 		return StructuralResult{}, m.err
 	}
-	res := m.structResult()
-	releaseStructMachine(m)
-	return res, nil
+	return m.structResult(), nil
 }
 
 func newStructMachine(cfg StructuralConfig) (*structMachine, error) {

@@ -107,7 +107,7 @@ type Store struct {
 	path  string
 	index map[string]record
 	size  int64 // current log length in bytes
-	dead  int   // on-disk records not in the index (skipped or superseded)
+	dead  int   // on-disk records not in the index (skipped, superseded or undecodable)
 
 	loaded      int64 // records loaded by Open
 	appends     atomic.Int64
@@ -240,8 +240,16 @@ func (s *Store) Load(key string) (any, bool) {
 		err = fmt.Errorf("store: unknown record kind %d", rec.kind)
 	}
 	if err != nil {
-		// An undecodable record is a miss, not a failure: the engine
-		// recomputes the point and the append path supersedes the record.
+		// An undecodable record is a miss, not a failure. It leaves the
+		// index, so the engine's recomputation is appended and supersedes
+		// it on replay — unless a concurrent Save has already replaced it
+		// (an equal record would fail to decode just the same).
+		s.mu.Lock()
+		if cur, ok := s.index[key]; ok && cur.kind == rec.kind && bytes.Equal(cur.val, rec.val) {
+			delete(s.index, key)
+			s.dead++
+		}
+		s.mu.Unlock()
 		s.misses.Add(1)
 		return nil, false
 	}

@@ -169,6 +169,84 @@ func TestCRCMismatchSkipped(t *testing.T) {
 	}
 }
 
+// TestUndecodableRecordSuperseded: a framed, CRC-valid record whose
+// value no longer decodes (here a field of the wrong type) misses, and
+// the recomputed result saved under its key must be appended and served
+// from then on — in this process and after a reopen — instead of the
+// point missing, and being re-simulated, on every run.
+func TestUndecodableRecordSuperseded(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, LogName)
+	bad := append([]byte(magic), encodeRecord(kindSim, "sim:abc", []byte(`{"cycles":"not a number"}`))...)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := open(t, dir)
+	if _, ok := s.Load("sim:abc"); ok {
+		t.Fatal("undecodable record was served")
+	}
+	want := sim.Result{Cycles: 7}
+	s.Save("sim:abc", want)
+	if st := s.Stats(); st.Appends != 1 {
+		t.Fatalf("appends = %d after saving over an undecodable record, want 1", st.Appends)
+	}
+	if got, ok := s.Load("sim:abc"); !ok || got != any(want) {
+		t.Fatalf("after save: got %#v ok=%v, want %#v", got, ok, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := open(t, dir)
+	if got, ok := r.Load("sim:abc"); !ok || got != any(want) {
+		t.Fatalf("after reopen: got %#v ok=%v, want %#v", got, ok, want)
+	}
+}
+
+// TestUndecodableRecordConcurrent races Loads that drop an undecodable
+// record against Saves of its recomputed value under the race detector:
+// a Load must drop only the record it failed to decode, never a value
+// saved meanwhile, and a Save after the drop is served.
+func TestUndecodableRecordConcurrent(t *testing.T) {
+	want := sim.Result{Cycles: 7}
+	for round := 0; round < 20; round++ {
+		dir := t.TempDir()
+		bad := append([]byte(magic), encodeRecord(kindSim, "sim:abc", []byte(`{"cycles":"x"}`))...)
+		if err := os.WriteFile(filepath.Join(dir, LogName), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := open(t, dir)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				if v, ok := s.Load("sim:abc"); ok && v != any(want) {
+					t.Errorf("served %#v, want %#v", v, want)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				s.Save("sim:abc", want)
+			}()
+		}
+		wg.Wait()
+		if v, ok := s.Load("sim:abc"); ok && v != any(want) {
+			t.Fatalf("round %d: served %#v, want %#v", round, v, want)
+		}
+		s.Save("sim:abc", want)
+		if v, ok := s.Load("sim:abc"); !ok || v != any(want) {
+			t.Fatalf("round %d: after a final save: got %#v ok=%v", round, v, ok)
+		}
+		// One drop, then one append: a second append means a Load
+		// dropped the saved value.
+		if n := s.Stats().Appends; n != 1 {
+			t.Fatalf("round %d: %d appends, want 1", round, n)
+		}
+	}
+}
+
 // TestOpenCompactsMostlyDeadLog damages enough records that the dead
 // outnumber the live: Open must rewrite the log down to the live set.
 func TestOpenCompactsMostlyDeadLog(t *testing.T) {
