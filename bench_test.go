@@ -20,7 +20,6 @@ import (
 	"scaleout/internal/exp"
 	"scaleout/internal/figures"
 	"scaleout/internal/noc"
-	"scaleout/internal/sim"
 	"scaleout/internal/stack3d"
 	"scaleout/internal/stats"
 	"scaleout/internal/tco"
@@ -127,7 +126,7 @@ func BenchmarkAnalyticChipIPC(b *testing.B) {
 	d := analytic.NewDesign(tech.OoO, 32, 8, noc.Mesh)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		analytic.SuiteMeanIPC(ws, d)
+		analytic.EvaluateSuite(ws, d)
 	}
 }
 
@@ -168,7 +167,7 @@ func BenchmarkTCOCompose(b *testing.B) {
 	p := tco.NewParams()
 	for i := 0; i < b.N; i++ {
 		for _, s := range specs {
-			if _, err := tco.Compose(p, s, 64, ws); err != nil {
+			if _, err := tco.Compose(p, s, 64); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -231,19 +230,6 @@ func BenchmarkAblateSharing(b *testing.B)   { benchExperiment(b, "ablate.sharing
 func BenchmarkExtHetero(b *testing.B)       { benchExperiment(b, "ext.hetero") }
 func BenchmarkExtDVFS(b *testing.B)         { benchExperiment(b, "ext.dvfs") }
 func BenchmarkExtStructural(b *testing.B)   { benchExperiment(b, "ext.structural") }
-
-func BenchmarkStructuralSimulator(b *testing.B) {
-	ws := workload.Suite()
-	cfg := sim.StructuralConfig{
-		Workload: ws[0], CoreType: tech.OoO, Cores: 16, LLCMB: 4,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunStructural(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkTraceGenerator(b *testing.B) {
 	ws := workload.Suite()

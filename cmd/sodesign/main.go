@@ -67,7 +67,7 @@ func main() {
 	fmt.Printf("\nScale-Out Processor at %s: %d pods, %d channels (%s-limited)\n",
 		node.Name, c.Pods, c.MemChannels, c.Limit)
 	fmt.Printf("  die %.0fmm2  TDP %.0fW  IPC %.1f  PD %.3f  perf/W %.2f\n",
-		c.DieArea(), c.Power(), c.IPC(ws), c.PD(ws), c.PerfPerWatt(ws))
+		c.DieArea(), c.Power(), c.IPC(), c.PD(), c.PerfPerWatt())
 
 	if *doTCO {
 		runTCO(c, *memGB, ws)
@@ -106,17 +106,25 @@ func run3D(node tech.Node, pod core.Pod, dies int, ws []workload.Workload) {
 		c, err := stack3d.Compose3D(node, pod, dies, s, ws)
 		check(err)
 		fmt.Printf("  %-14s %d x %v  %d MCs  footprint %.0fmm2  power %.0fW  PD3D %.3f (%s-limited)\n",
-			s, c.Pods, c.Pod, c.MemChannels, c.FootprintArea(), c.Power(), c.PD3D(ws), c.Limit)
+			s, c.Pods, c.Pod, c.MemChannels, c.FootprintArea(), c.Power(), c.PD3D(), c.Limit)
 	}
 }
 
-func runTCO(c core.ScaleOutChip, memGB int, ws []workload.Workload) {
+// tcoSpec describes the composed chip to the TCO model: evaluated on the
+// suite, with the memory channels core.Compose provisioned for the pod's
+// own interconnect rather than the ones Evaluate would choose.
+func tcoSpec(c core.ScaleOutChip, ws []workload.Workload) chip.Spec {
 	spec := chip.Spec{
 		Org: chip.ScaleOutOrg, Node: c.Node, Core: c.Pod.Core,
 		Cores: c.Cores(), LLCMB: c.LLCMB(), Pods: c.Pods, Net: noc.Crossbar,
-		MemChannels: c.MemChannels,
 	}
-	dc, err := tco.Compose(tco.NewParams(), spec, memGB, ws)
+	spec.Evaluate(ws)
+	spec.MemChannels = c.MemChannels
+	return spec
+}
+
+func runTCO(c core.ScaleOutChip, memGB int, ws []workload.Workload) {
+	dc, err := tco.Compose(tco.NewParams(), tcoSpec(c, ws), memGB)
 	check(err)
 	b := dc.MonthlyTCO()
 	fmt.Printf("\n20MW datacenter (%dGB per 1U): %d sockets/server, %d racks\n",

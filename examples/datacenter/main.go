@@ -29,7 +29,7 @@ func main() {
 	fmt.Println("\n== 20MW datacenter, 64GB per 1U server ==")
 	var baseTCO, basePerf float64
 	for i, s := range specs {
-		dc, err := tco.Compose(params, s, 64, ws)
+		dc, err := tco.Compose(params, s, 64)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func main() {
 
 	fmt.Println("\n== TCO breakdown for the in-order Scale-Out design ($/month) ==")
 	soI, _ := chip.Find(specs, chip.ScaleOutOrg, tech.InOrder)
-	dc, err := tco.Compose(params, soI, 64, ws)
+	dc, err := tco.Compose(params, soI, 64)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func main() {
 	for _, s := range specs {
 		fmt.Printf("  %-22s", s.Name())
 		for _, mem := range []int{32, 64, 128} {
-			dc, err := tco.Compose(params, s, mem, ws)
+			dc, err := tco.Compose(params, s, mem)
 			if err != nil {
 				log.Fatal(err)
 			}

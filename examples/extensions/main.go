@@ -29,10 +29,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("feasible mixes at %s: %d; Pareto frontier:\n", n.Name, len(mixes))
-	for _, c := range core.ParetoHetero(mixes, ws) {
+	for _, c := range core.ParetoHetero(mixes) {
 		fmt.Printf("  %d x %v + %d x %v: %3d cores, %.0fmm2, %.0fW, IPC %.1f, PD %.3f\n",
 			c.CountA, c.PodA, c.CountB, c.PodB, c.Cores(), c.DieArea(), c.Power(),
-			c.IPC(ws), c.PD(ws))
+			c.IPC(), c.PD())
 	}
 
 	fmt.Println("\n== DVFS on the 16-core pod ==")

@@ -34,7 +34,7 @@ func main() {
 		fmt.Printf("-- %s --\n", node.Name)
 		for _, s := range chip.Catalog(node, ws) {
 			fmt.Printf("  %-36s PD %.3f  %3d cores  %4.0fMB  %d MCs  %3.0fmm2  %3.0fW\n",
-				s.Name(), s.PD(ws), s.Cores, s.LLCMB, s.MemChannels, s.DieArea(), s.Power())
+				s.Name(), s.PD(), s.Cores, s.LLCMB, s.MemChannels, s.DieArea(), s.Power())
 		}
 	}
 
@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for i, w := range ws {
-		model := analytic.ChipIPC(w, analytic.NewDesign(tech.OoO, 16, 4, noc.Crossbar))
+		model := analytic.ChipIPC(&w, analytic.NewDesign(tech.OoO, 16, 4, noc.Crossbar))
 		fmt.Printf("  %-16s sim %5.2f  model %5.2f  (%+.1f%%)\n",
 			w.Name, rs[i].AppIPC, model, 100*(rs[i].AppIPC-model)/model)
 	}

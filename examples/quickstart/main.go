@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("Scale-Out Processor at %s: %d x %v pods, %d memory channels (%s-limited)\n",
 		node.Name, chip.Pods, chip.Pod, chip.MemChannels, chip.Limit)
 	fmt.Printf("  die %.0fmm2  TDP %.0fW  suite-mean IPC %.1f  PD %.3f  perf/W %.2f\n",
-		chip.DieArea(), chip.Power(), chip.IPC(ws), chip.PD(ws), chip.PerfPerWatt(ws))
+		chip.DieArea(), chip.Power(), chip.IPC(), chip.PD(), chip.PerfPerWatt())
 
 	// 4. Project to 20nm: the same pod, more of them — optimality-
 	//    preserving scaling with no redesign.
@@ -63,6 +63,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("at %s: %d pods, %d channels, PD %.3f (%.1fx the 40nm design)\n",
-		tech.N20().Name, chip20.Pods, chip20.MemChannels, chip20.PD(ws),
-		chip20.PD(ws)/chip.PD(ws))
+		tech.N20().Name, chip20.Pods, chip20.MemChannels, chip20.PD(),
+		chip20.PD()/chip.PD())
 }

@@ -52,7 +52,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if chip20.Pods <= chip.Pods {
 		t.Fatalf("20nm composed %d pods, not more than 40nm's %d", chip20.Pods, chip.Pods)
 	}
-	if chip20.PD(ws) <= chip.PD(ws) {
+	if chip20.PD() <= chip.PD() {
 		t.Fatal("technology scaling did not improve performance density")
 	}
 }

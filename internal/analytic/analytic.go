@@ -79,77 +79,127 @@ func (d Design) MemLatency() float64 {
 		float64(tech.MemoryLatencyCycles) + memQueueMargin
 }
 
-// PerCoreIPC predicts the application IPC of one core of the design
-// running workload w. The CPI stack is:
+// Perf is what the analytic model predicts for a design: on one
+// workload (Evaluate), or over a suite (EvaluateSuite).
+type Perf struct {
+	// IPC is the aggregate application IPC, cores times per-core IPC —
+	// the thesis's "performance" metric (Section 2.4.3). Over a suite it
+	// is the arithmetic mean across workloads (the thesis's "averaged
+	// across all workloads").
+	IPC float64
+	// PerCoreIPC is the IPC of one core; over a suite, the mean across
+	// workloads.
+	PerCoreIPC float64
+	// PeakGBs is the worst-case off-chip demand at that IPC; over a
+	// suite, the peak across workloads, which memory channels are
+	// provisioned against (Section 2.1.6: "the number of memory
+	// interfaces must be chosen based on the worst-case off-chip traffic
+	// of the workloads").
+	PeakGBs float64
+}
+
+// latencies are the design-wide terms of the CPI stack, the same for
+// every workload: the LLC hit and off-chip miss latencies in cycles.
+type latencies struct{ llc, mem float64 }
+
+func (d Design) latencies() latencies { return latencies{d.LLCLatency(), d.MemLatency()} }
+
+// sharesBreakdown reports whether every workload has the same access
+// breakdown on d and o: the breakdown depends on the core type, core
+// count and LLC capacity, never on the interconnect.
+func (d Design) sharesBreakdown(o Design) bool {
+	return d.Core == o.Core && d.Cores == o.Cores && d.LLCMB == o.LLCMB
+}
+
+// evaluate predicts w on d from its access breakdown there. The CPI
+// stack of one core is:
 //
 //	CPI = 1/BaseIPC                        issue-limited execution
 //	    + iHit  * Lllc                     I-fetch from LLC, fully exposed
 //	    + dHit  * Lllc * overlap           data from LLC, partly hidden
 //	    + iMiss * Lmem                     I-fetch from memory, exposed
 //	    + dMiss * Lmem / MLP               data from memory, overlapped
-func PerCoreIPC(w workload.Workload, d Design) float64 {
-	acc := w.AccessBreakdown(d.Core, d.LLCMB, d.Cores)
-	lllc := d.LLCLatency()
-	lmem := d.MemLatency()
-
+//
+// and the same breakdown's off-chip misses give the demand.
+func evaluate(w *workload.Workload, d Design, acc workload.Accesses, lat latencies) Perf {
 	cpi := 1 / w.BaseIPC[d.Core]
-	cpi += acc.IHitAPKI / 1000 * lllc
-	cpi += acc.DHitAPKI / 1000 * lllc * w.LLCOverlap[d.Core]
-	cpi += acc.IMissMPKI / 1000 * lmem
-	cpi += acc.DMissMPKI / 1000 * lmem / w.MLP[d.Core]
-	return 1 / cpi
+	cpi += acc.IHitAPKI / 1000 * lat.llc
+	cpi += acc.DHitAPKI / 1000 * lat.llc * w.LLCOverlap[d.Core]
+	cpi += acc.IMissMPKI / 1000 * lat.mem
+	cpi += acc.DMissMPKI / 1000 * lat.mem / w.MLP[d.Core]
+	ipc := 1 / cpi
+	return Perf{IPC: float64(d.Cores) * ipc, PerCoreIPC: ipc, PeakGBs: w.PeakGBsFrom(acc, d.Cores, ipc)}
 }
+
+// Evaluate predicts workload w on design d from one access breakdown:
+// aggregate and per-core IPC, and the worst-case off-chip demand.
+func Evaluate(w *workload.Workload, d Design) Perf {
+	return evaluate(w, d, w.AccessBreakdown(d.Core, d.LLCMB, d.Cores), d.latencies())
+}
+
+// PerCoreIPC predicts the application IPC of one core of the design
+// running workload w (see Evaluate).
+func PerCoreIPC(w *workload.Workload, d Design) float64 { return Evaluate(w, d).PerCoreIPC }
 
 // ChipIPC predicts the aggregate application instructions per cycle of
 // the whole design: cores times per-core IPC. This is the thesis's
 // "performance" metric (Section 2.4.3).
-func ChipIPC(w workload.Workload, d Design) float64 {
-	return float64(d.Cores) * PerCoreIPC(w, d)
+func ChipIPC(w *workload.Workload, d Design) float64 { return Evaluate(w, d).IPC }
+
+// suiteSize bounds the suites whose access breakdowns are held on the
+// stack; larger suites spill to the heap.
+const suiteSize = 8
+
+// EvaluateSuite evaluates d on every workload of ws once, with one
+// access breakdown per workload and the design's latencies computed
+// once for the suite: the mean aggregate and per-core IPC, and the peak
+// demand. An empty suite yields the zero Perf.
+func EvaluateSuite(ws []workload.Workload, d Design) Perf {
+	var buf [suiteSize]workload.Accesses
+	return evaluateSuite(ws, d, breakdowns(buf[:0], ws, d))
 }
 
-// SuiteMeanIPC returns the aggregate IPC averaged (arithmetically, as the
-// thesis's "averaged across all workloads") over the workload suite.
-func SuiteMeanIPC(ws []workload.Workload, d Design) float64 {
+// EvaluateSuites returns EvaluateSuite(ws, d) for each design of ds.
+// Consecutive designs that differ only in their interconnect share each
+// workload's access breakdown instead of recomputing it.
+func EvaluateSuites(ws []workload.Workload, ds ...Design) []Perf {
+	out := make([]Perf, len(ds))
+	var buf [suiteSize]workload.Accesses
+	var accs []workload.Accesses
+	for i, d := range ds {
+		if i == 0 || !d.sharesBreakdown(ds[i-1]) {
+			accs = breakdowns(buf[:0], ws, d)
+		}
+		out[i] = evaluateSuite(ws, d, accs)
+	}
+	return out
+}
+
+// breakdowns appends each workload's access breakdown on d to buf.
+func breakdowns(buf []workload.Accesses, ws []workload.Workload, d Design) []workload.Accesses {
+	for i := range ws {
+		buf = append(buf, ws[i].AccessBreakdown(d.Core, d.LLCMB, d.Cores))
+	}
+	return buf
+}
+
+// evaluateSuite averages the workloads' predictions on d (aggregate and
+// per-core IPC) and takes the peak of their demands, given each
+// workload's access breakdown.
+func evaluateSuite(ws []workload.Workload, d Design, accs []workload.Accesses) Perf {
 	if len(ws) == 0 {
-		return 0
+		return Perf{}
 	}
-	sum := 0.0
-	for _, w := range ws {
-		sum += ChipIPC(w, d)
-	}
-	return sum / float64(len(ws))
-}
-
-// SuiteMeanPerCoreIPC returns the per-core IPC averaged over workloads.
-func SuiteMeanPerCoreIPC(ws []workload.Workload, d Design) float64 {
-	if len(ws) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, w := range ws {
-		sum += PerCoreIPC(w, d)
-	}
-	return sum / float64(len(ws))
-}
-
-// OffChipDemandGBs returns the average off-chip bandwidth demand of the
-// design under workload w.
-func OffChipDemandGBs(w workload.Workload, d Design) float64 {
-	ipc := PerCoreIPC(w, d)
-	return w.OffChipGBs(d.Core, d.LLCMB, d.Cores, ipc)
-}
-
-// WorstCaseDemandGBs returns the peak off-chip demand across the
-// workload suite, the quantity memory channels are provisioned against
-// (Section 2.1.6: "the number of memory interfaces must be chosen based
-// on the worst-case off-chip traffic of the workloads").
-func WorstCaseDemandGBs(ws []workload.Workload, d Design) float64 {
-	peak := 0.0
-	for _, w := range ws {
-		ipc := PerCoreIPC(w, d)
-		if demand := w.PeakOffChipGBs(d.Core, d.LLCMB, d.Cores, ipc); demand > peak {
-			peak = demand
+	lat := d.latencies()
+	var sum Perf
+	for i := range ws {
+		p := evaluate(&ws[i], d, accs[i], lat)
+		sum.IPC += p.IPC
+		sum.PerCoreIPC += p.PerCoreIPC
+		if p.PeakGBs > sum.PeakGBs {
+			sum.PeakGBs = p.PeakGBs
 		}
 	}
-	return peak
+	n := float64(len(ws))
+	return Perf{IPC: sum.IPC / n, PerCoreIPC: sum.PerCoreIPC / n, PeakGBs: sum.PeakGBs}
 }

@@ -52,7 +52,7 @@ func TestIPCBounds(t *testing.T) {
 		kind := kinds[int(ki)%len(kinds)]
 		cores := 1 << (cx % 9) // 1..256
 		llc := 1 + float64(llcX%32)
-		ipc := PerCoreIPC(w, NewDesign(ct, cores, llc, kind))
+		ipc := PerCoreIPC(&w, NewDesign(ct, cores, llc, kind))
 		return ipc > 0 && ipc < w.BaseIPC[ct]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
@@ -63,7 +63,7 @@ func TestIPCBounds(t *testing.T) {
 func TestChipIPCIsCoresTimesPerCore(t *testing.T) {
 	d := NewDesign(tech.OoO, 32, 8, noc.Mesh)
 	for _, w := range suite() {
-		if got, want := ChipIPC(w, d), 32*PerCoreIPC(w, d); math.Abs(got-want) > 1e-12 {
+		if got, want := ChipIPC(&w, d), 32*PerCoreIPC(&w, d); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("%s: chip %v != 32 x %v", w.Name, got, want)
 		}
 	}
@@ -73,9 +73,9 @@ func TestChipIPCIsCoresTimesPerCore(t *testing.T) {
 // per core; in-order slowest — at identical cache/network conditions.
 func TestCoreTypeOrdering(t *testing.T) {
 	for _, w := range suite() {
-		conv := PerCoreIPC(w, NewDesign(tech.Conventional, 4, 4, noc.Crossbar))
-		ooo := PerCoreIPC(w, NewDesign(tech.OoO, 4, 4, noc.Crossbar))
-		io := PerCoreIPC(w, NewDesign(tech.InOrder, 4, 4, noc.Crossbar))
+		conv := PerCoreIPC(&w, NewDesign(tech.Conventional, 4, 4, noc.Crossbar))
+		ooo := PerCoreIPC(&w, NewDesign(tech.OoO, 4, 4, noc.Crossbar))
+		io := PerCoreIPC(&w, NewDesign(tech.InOrder, 4, 4, noc.Crossbar))
 		if !(conv > ooo && ooo > io) {
 			t.Errorf("%s: ordering conv %v > ooo %v > io %v violated", w.Name, conv, ooo, io)
 		}
@@ -86,8 +86,8 @@ func TestCoreTypeOrdering(t *testing.T) {
 func TestIdealAtLeastCrossbar(t *testing.T) {
 	for _, w := range suite() {
 		for c := 1; c <= 256; c *= 4 {
-			ideal := PerCoreIPC(w, NewDesign(tech.OoO, c, 4, noc.Ideal))
-			xbar := PerCoreIPC(w, NewDesign(tech.OoO, c, 4, noc.Crossbar))
+			ideal := PerCoreIPC(&w, NewDesign(tech.OoO, c, 4, noc.Ideal))
+			xbar := PerCoreIPC(&w, NewDesign(tech.OoO, c, 4, noc.Crossbar))
 			if ideal < xbar-1e-12 {
 				t.Errorf("%s at %d cores: ideal %v < crossbar %v", w.Name, c, ideal, xbar)
 			}
@@ -99,9 +99,9 @@ func TestIdealAtLeastCrossbar(t *testing.T) {
 // faster with core count than under the ideal interconnect.
 func TestDistanceEffect(t *testing.T) {
 	ws := suite()
-	ideal1 := SuiteMeanPerCoreIPC(ws, NewDesign(tech.OoO, 1, 4, noc.Ideal))
-	ideal256 := SuiteMeanPerCoreIPC(ws, NewDesign(tech.OoO, 256, 4, noc.Ideal))
-	mesh256 := SuiteMeanPerCoreIPC(ws, NewDesign(tech.OoO, 256, 4, noc.Mesh))
+	ideal1 := EvaluateSuite(ws, NewDesign(tech.OoO, 1, 4, noc.Ideal)).PerCoreIPC
+	ideal256 := EvaluateSuite(ws, NewDesign(tech.OoO, 256, 4, noc.Ideal)).PerCoreIPC
+	mesh256 := EvaluateSuite(ws, NewDesign(tech.OoO, 256, 4, noc.Mesh)).PerCoreIPC
 	idealDrop := 1 - ideal256/ideal1
 	meshDrop := 1 - mesh256/ideal1
 	if idealDrop > 0.35 {
@@ -132,11 +132,11 @@ func TestLatencyAccounting(t *testing.T) {
 // channel provisioning that yields 3 and 6 DDR3 channels at 40nm.
 func TestPodBandwidthAnchors(t *testing.T) {
 	ws := suite()
-	ooo := WorstCaseDemandGBs(ws, NewDesign(tech.OoO, 16, 4, noc.Crossbar))
+	ooo := EvaluateSuite(ws, NewDesign(tech.OoO, 16, 4, noc.Crossbar)).PeakGBs
 	if ooo < 7.5 || ooo > 10.5 {
 		t.Errorf("OoO pod worst-case demand %v GB/s, thesis ~9.4", ooo)
 	}
-	io := WorstCaseDemandGBs(ws, NewDesign(tech.InOrder, 32, 2, noc.Crossbar))
+	io := EvaluateSuite(ws, NewDesign(tech.InOrder, 32, 2, noc.Crossbar)).PeakGBs
 	if io < 15.4 || io > 18 {
 		t.Errorf("in-order pod worst-case demand %v GB/s, thesis ~15-17", io)
 	}
@@ -144,11 +144,12 @@ func TestPodBandwidthAnchors(t *testing.T) {
 
 func TestSuiteMeansEmptyAndOrder(t *testing.T) {
 	d := NewDesign(tech.OoO, 8, 4, noc.Crossbar)
-	if SuiteMeanIPC(nil, d) != 0 || SuiteMeanPerCoreIPC(nil, d) != 0 {
+	if EvaluateSuite(nil, d) != (Perf{}) {
 		t.Fatal("empty suite should yield zero")
 	}
 	ws := suite()
-	if got, want := SuiteMeanIPC(ws, d), 8*SuiteMeanPerCoreIPC(ws, d); math.Abs(got-want) > 1e-9 {
+	perf := EvaluateSuite(ws, d)
+	if got, want := perf.IPC, 8*perf.PerCoreIPC; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("suite means inconsistent: %v vs %v", got, want)
 	}
 }
@@ -156,7 +157,7 @@ func TestSuiteMeansEmptyAndOrder(t *testing.T) {
 func TestOffChipDemandPositive(t *testing.T) {
 	d := NewDesign(tech.InOrder, 32, 2, noc.Crossbar)
 	for _, w := range suite() {
-		if OffChipDemandGBs(w, d) <= 0 {
+		if w.OffChipGBs(d.Core, d.LLCMB, d.Cores, PerCoreIPC(&w, d)) <= 0 {
 			t.Errorf("%s: non-positive demand", w.Name)
 		}
 	}
@@ -165,8 +166,8 @@ func TestOffChipDemandPositive(t *testing.T) {
 // Larger LLCs reduce off-chip demand (the fixed-distance 3D argument).
 func TestDemandFallsWithCapacity(t *testing.T) {
 	ws := suite()
-	small := WorstCaseDemandGBs(ws, NewDesign(tech.InOrder, 64, 2, noc.Crossbar))
-	large := WorstCaseDemandGBs(ws, NewDesign(tech.InOrder, 64, 8, noc.Crossbar))
+	small := EvaluateSuite(ws, NewDesign(tech.InOrder, 64, 2, noc.Crossbar)).PeakGBs
+	large := EvaluateSuite(ws, NewDesign(tech.InOrder, 64, 8, noc.Crossbar)).PeakGBs
 	if large >= small {
 		t.Fatalf("demand did not fall with capacity: %v -> %v", small, large)
 	}

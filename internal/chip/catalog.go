@@ -25,7 +25,7 @@ func Catalog(n tech.Node, ws []workload.Workload) []Spec {
 	var specs []Spec
 	add := func(s Spec) {
 		s.Node = n
-		s.ProvisionChannels(ws)
+		s.Evaluate(ws)
 		specs = append(specs, s)
 	}
 
@@ -67,7 +67,7 @@ func TCOCatalog(ws []workload.Workload) []Spec {
 	var specs []Spec
 	add := func(s Spec) {
 		s.Node = n
-		s.ProvisionChannels(ws)
+		s.Evaluate(ws)
 		specs = append(specs, s)
 	}
 	add(Spec{Org: ConventionalOrg, Core: tech.Conventional, Cores: 6, LLCMB: 12, Net: noc.Crossbar})

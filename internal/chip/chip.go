@@ -65,7 +65,9 @@ func (o Organization) String() string {
 	}
 }
 
-// Spec is one fully characterized processor design.
+// Spec is one fully characterized processor design. Evaluate
+// characterizes it on a workload suite; until then its IPC, PD and
+// perf/Watt are zero.
 type Spec struct {
 	Org         Organization
 	Node        tech.Node
@@ -76,6 +78,8 @@ type Spec struct {
 	Net         noc.Kind
 	MemChannels int
 	IR          bool // instruction replication enabled
+
+	ipc float64 // suite-mean aggregate IPC, recorded by Evaluate
 }
 
 // Name formats the design name as in the tables, e.g. "Tiled (OoO)".
@@ -121,7 +125,7 @@ func (s Spec) Power() float64 {
 // instruction blocks under R-NUCA-style replication: clusters of four
 // tiles each hold a copy of the hot half of the instruction footprint
 // (Section 2.2.3 — replication pressures small LLC-optimal caches).
-func (s Spec) irCapacityPenaltyMB(w workload.Workload) float64 {
+func (s Spec) irCapacityPenaltyMB(w *workload.Workload) float64 {
 	clusters := s.Cores / 4
 	if clusters < 1 {
 		clusters = 1
@@ -138,17 +142,30 @@ func (s Spec) irCapacityPenaltyMB(w workload.Workload) float64 {
 }
 
 // WorkloadIPC returns the chip's aggregate application IPC on workload w.
-func (s Spec) WorkloadIPC(w workload.Workload) float64 {
-	if s.Pods > 0 {
-		return float64(s.Pods) * analytic.ChipIPC(w, s.design())
+func (s Spec) WorkloadIPC(w *workload.Workload) float64 {
+	ipc, _ := s.evaluate(w, s.design())
+	return ipc
+}
+
+// evaluate returns the chip's aggregate IPC on workload w and the
+// per-domain worst-case off-chip demand, from one analytic evaluation of
+// the performance domain d (s.design()).
+func (s Spec) evaluate(w *workload.Workload, d analytic.Design) (ipc, demandGBs float64) {
+	p := analytic.Evaluate(w, d)
+	switch {
+	case s.Pods > 0:
+		return float64(s.Pods) * p.IPC, p.PeakGBs
+	case s.IR:
+		return s.irIPC(w, d), p.PeakGBs
+	default:
+		return p.IPC, p.PeakGBs
 	}
-	d := s.design()
-	if !s.IR {
-		return analytic.ChipIPC(w, d)
-	}
-	// Instruction replication: I-fetches travel at most one mesh hop
-	// (R-NUCA clusters of four), while replicas consume LLC capacity,
-	// raising the data miss rate.
+}
+
+// irIPC returns the chip's aggregate IPC on workload w with instruction
+// replication: I-fetches travel at most one mesh hop (R-NUCA clusters of
+// four), while replicas consume LLC capacity, raising the data miss rate.
+func (s Spec) irIPC(w *workload.Workload, d analytic.Design) float64 {
 	dIR := d
 	dIR.LLCMB = s.LLCMB - s.irCapacityPenaltyMB(w)
 	accIR := w.AccessBreakdown(s.Core, dIR.LLCMB, s.Cores)
@@ -166,47 +183,48 @@ func (s Spec) WorkloadIPC(w workload.Workload) float64 {
 	return float64(s.Cores) / cpi
 }
 
-// IPC returns the suite-mean aggregate IPC.
-func (s Spec) IPC(ws []workload.Workload) float64 {
-	if len(ws) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, w := range ws {
-		sum += s.WorkloadIPC(w)
-	}
-	return sum / float64(len(ws))
-}
+// IPC returns the suite-mean aggregate IPC that Evaluate recorded: 0
+// for a spec never evaluated, or evaluated on an empty suite.
+func (s Spec) IPC() float64 { return s.ipc }
 
 // PD returns performance density: suite-mean IPC per mm^2 of die.
-func (s Spec) PD(ws []workload.Workload) float64 { return s.IPC(ws) / s.DieArea() }
+func (s Spec) PD() float64 { return s.ipc / s.DieArea() }
 
 // PerfPerWatt returns suite-mean IPC per Watt.
-func (s Spec) PerfPerWatt(ws []workload.Workload) float64 { return s.IPC(ws) / s.Power() }
+func (s Spec) PerfPerWatt() float64 { return s.ipc / s.Power() }
 
-// DemandGBs returns the worst-case off-chip bandwidth demand of the chip.
-func (s Spec) DemandGBs(ws []workload.Workload) float64 {
-	if s.Pods > 0 {
-		return float64(s.Pods) * s.podView().PeakBandwidthGBs(ws)
-	}
+// Evaluate runs the analytic model on the suite once, each workload's
+// IPC and demand from one evaluation, and records the two quantities
+// the design is characterized by: its suite-mean aggregate IPC (IPC)
+// and its memory channels (MemChannels). Conventional processors
+// dedicate one channel per four cores (Section 2.5); all others
+// provision for worst-case demand, capped at the package limit of six
+// interfaces.
+func (s *Spec) Evaluate(ws []workload.Workload) {
 	d := s.design()
-	demand := analytic.WorstCaseDemandGBs(ws, d)
-	if s.IR {
-		demand *= 1.15 // replication misses add off-chip traffic (Section 2.5.2)
+	var sum, peak float64
+	for i := range ws {
+		ipc, demand := s.evaluate(&ws[i], d)
+		sum += ipc
+		if demand > peak {
+			peak = demand
+		}
 	}
-	return demand
-}
-
-// ProvisionChannels computes the memory channels the design needs:
-// conventional processors dedicate one channel per four cores (Section
-// 2.5); all others provision for worst-case demand, capped at the
-// package limit of six interfaces.
-func (s *Spec) ProvisionChannels(ws []workload.Workload) {
+	s.ipc = 0
+	if len(ws) > 0 {
+		s.ipc = sum / float64(len(ws))
+	}
 	if s.Org == ConventionalOrg {
 		s.MemChannels = (s.Cores + 3) / 4
 		return
 	}
-	ch := int(math.Ceil(s.DemandGBs(ws) / s.Node.Memory.UsableGBs()))
+	switch {
+	case s.Pods > 0:
+		peak *= float64(s.Pods) // every pod draws its own demand
+	case s.IR:
+		peak *= 1.15 // replication misses add off-chip traffic (Section 2.5.2)
+	}
+	ch := int(math.Ceil(peak / s.Node.Memory.UsableGBs()))
 	if ch < 1 {
 		ch = 1
 	}

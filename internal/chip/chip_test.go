@@ -74,10 +74,10 @@ func TestPublishedAreasAndPowers(t *testing.T) {
 func TestPDOrdering40nm(t *testing.T) {
 	specs := catalog40()
 	pd := func(org Organization, core tech.CoreType) float64 {
-		return find(t, specs, org, core).PD(ws)
+		return find(t, specs, org, core).PD()
 	}
 	for _, core := range []tech.CoreType{tech.OoO, tech.InOrder} {
-		conv := find(t, specs, ConventionalOrg, tech.Conventional).PD(ws)
+		conv := find(t, specs, ConventionalOrg, tech.Conventional).PD()
 		tiled := pd(TiledOrg, core)
 		llc := pd(LLCOptimalTiledOrg, core)
 		ir := pd(LLCOptimalTiledIROrg, core)
@@ -98,11 +98,11 @@ func TestPDOrdering40nm(t *testing.T) {
 // conventional. Scale-Out trails the ideal by under ~15%.
 func TestHeadlineRatios(t *testing.T) {
 	specs := catalog40()
-	conv := find(t, specs, ConventionalOrg, tech.Conventional).PD(ws)
-	soO := find(t, specs, ScaleOutOrg, tech.OoO).PD(ws)
-	soI := find(t, specs, ScaleOutOrg, tech.InOrder).PD(ws)
-	tiledO := find(t, specs, TiledOrg, tech.OoO).PD(ws)
-	idealO := find(t, specs, IdealOrg, tech.OoO).PD(ws)
+	conv := find(t, specs, ConventionalOrg, tech.Conventional).PD()
+	soO := find(t, specs, ScaleOutOrg, tech.OoO).PD()
+	soI := find(t, specs, ScaleOutOrg, tech.InOrder).PD()
+	tiledO := find(t, specs, TiledOrg, tech.OoO).PD()
+	idealO := find(t, specs, IdealOrg, tech.OoO).PD()
 
 	if r := soO / conv; r < 2.8 || r > 4.5 {
 		t.Errorf("Scale-Out(OoO)/conventional PD ratio %v, thesis ~3.5", r)
@@ -123,8 +123,8 @@ func TestHeadlineRatios(t *testing.T) {
 func TestScalingImprovesLead(t *testing.T) {
 	s40, s20 := catalog40(), Catalog(tech.N20(), ws)
 	lead := func(specs []Spec) float64 {
-		so := find(t, specs, ScaleOutOrg, tech.OoO).PD(ws)
-		tiled := find(t, specs, TiledOrg, tech.OoO).PD(ws)
+		so := find(t, specs, ScaleOutOrg, tech.OoO).PD()
+		tiled := find(t, specs, TiledOrg, tech.OoO).PD()
 		return so / tiled
 	}
 	if lead(s20) <= lead(s40) {
@@ -168,9 +168,9 @@ func TestIRBehaviour(t *testing.T) {
 	for _, core := range []tech.CoreType{tech.OoO, tech.InOrder} {
 		for _, n := range []tech.Node{tech.N40(), tech.N20()} {
 			specs := Catalog(n, ws)
-			llc := find(t, specs, LLCOptimalTiledOrg, core).PD(ws)
-			ir := find(t, specs, LLCOptimalTiledIROrg, core).PD(ws)
-			ideal := find(t, specs, IdealOrg, core).PD(ws)
+			llc := find(t, specs, LLCOptimalTiledOrg, core).PD()
+			ir := find(t, specs, LLCOptimalTiledIROrg, core).PD()
+			ideal := find(t, specs, IdealOrg, core).PD()
 			if ir < llc {
 				t.Errorf("%v at %s: IR made things worse (%v < %v)", core, n.Name, ir, llc)
 			}
@@ -182,8 +182,8 @@ func TestIRBehaviour(t *testing.T) {
 	// The 20nm OoO IR gain exceeds the 40nm gain (thesis: 2% vs 14%).
 	gain := func(n tech.Node) float64 {
 		specs := Catalog(n, ws)
-		return find(t, specs, LLCOptimalTiledIROrg, tech.OoO).PD(ws) /
-			find(t, specs, LLCOptimalTiledOrg, tech.OoO).PD(ws)
+		return find(t, specs, LLCOptimalTiledIROrg, tech.OoO).PD() /
+			find(t, specs, LLCOptimalTiledOrg, tech.OoO).PD()
 	}
 	if gain(tech.N20()) <= gain(tech.N40()) {
 		t.Errorf("IR gain did not grow with scaling: %v -> %v", gain(tech.N40()), gain(tech.N20()))
@@ -222,10 +222,11 @@ func TestTCOCatalogPods(t *testing.T) {
 
 func TestIPCPositiveEverywhere(t *testing.T) {
 	for _, s := range append(catalog40(), TCOCatalog(ws)...) {
-		if s.IPC(ws) <= 0 || s.PD(ws) <= 0 || s.PerfPerWatt(ws) <= 0 {
+		if s.IPC() <= 0 || s.PD() <= 0 || s.PerfPerWatt() <= 0 {
 			t.Errorf("%s: non-positive metric", s.Name())
 		}
-		if s.IPC(nil) != 0 {
+		s.Evaluate(nil)
+		if s.IPC() != 0 {
 			t.Errorf("%s: empty suite should yield zero IPC", s.Name())
 		}
 	}
@@ -234,7 +235,7 @@ func TestIPCPositiveEverywhere(t *testing.T) {
 func TestWorkloadIPCAboveZeroPerWorkload(t *testing.T) {
 	for _, s := range catalog40() {
 		for _, w := range ws {
-			ipc := s.WorkloadIPC(w)
+			ipc := s.WorkloadIPC(&w)
 			if ipc <= 0 {
 				t.Errorf("%s on %s: IPC %v", s.Name(), w.Name, ipc)
 			}

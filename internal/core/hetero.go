@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"scaleout/internal/analytic"
 	"scaleout/internal/tech"
 	"scaleout/internal/workload"
 )
@@ -13,12 +14,18 @@ import (
 // in-order pods for batch throughput (the thesis's Section 8.1 names
 // heterogeneous organizations as future work; pods make it trivial
 // because no inter-pod infrastructure exists to reconcile).
+//
+// EnumerateHetero builds it: every mix keeps both pods' evaluations on
+// the suite it was enumerated for, and its IPC, PD and perf/Watt derive
+// from those. A HeteroChip built any other way reports zero for them.
 type HeteroChip struct {
 	Node        tech.Node
 	PodA, PodB  Pod
 	CountA      int
 	CountB      int
 	MemChannels int
+
+	perfA, perfB analytic.Perf // Pod.Perf of PodA and PodB
 }
 
 // DieArea returns the chip area across both pod types plus interfaces.
@@ -34,30 +41,26 @@ func (c HeteroChip) Power() float64 {
 }
 
 // IPC returns the aggregate suite-mean IPC of all pods.
-func (c HeteroChip) IPC(ws []workload.Workload) float64 {
-	return float64(c.CountA)*c.PodA.IPC(ws) + float64(c.CountB)*c.PodB.IPC(ws)
+func (c HeteroChip) IPC() float64 {
+	return float64(c.CountA)*c.perfA.IPC + float64(c.CountB)*c.perfB.IPC
 }
 
 // PD returns the chip performance density.
-func (c HeteroChip) PD(ws []workload.Workload) float64 {
-	return c.IPC(ws) / c.DieArea()
-}
+func (c HeteroChip) PD() float64 { return c.IPC() / c.DieArea() }
 
 // PerfPerWatt returns aggregate IPC per Watt.
-func (c HeteroChip) PerfPerWatt(ws []workload.Workload) float64 {
-	return c.IPC(ws) / c.Power()
-}
+func (c HeteroChip) PerfPerWatt() float64 { return c.IPC() / c.Power() }
 
 // Cores returns the total core count.
 func (c HeteroChip) Cores() int {
 	return c.CountA*c.PodA.Cores + c.CountB*c.PodB.Cores
 }
 
-// feasible reports whether the mix fits the node's budgets, returning
+// feasible reports whether the mix fits the node's budgets, recording
 // the provisioned channel count.
-func (c *HeteroChip) feasible(ws []workload.Workload) bool {
-	demand := float64(c.CountA)*c.PodA.PeakBandwidthGBs(ws) +
-		float64(c.CountB)*c.PodB.PeakBandwidthGBs(ws)
+func (c *HeteroChip) feasible() bool {
+	demand := float64(c.CountA)*c.perfA.PeakGBs +
+		float64(c.CountB)*c.perfB.PeakGBs
 	ch := int(math.Ceil(demand / c.Node.Memory.UsableGBs()))
 	if ch < 1 {
 		ch = 1
@@ -71,8 +74,10 @@ func (c *HeteroChip) feasible(ws []workload.Workload) bool {
 
 // EnumerateHetero returns every feasible (countA, countB) mix of the two
 // pods at the node, including the homogeneous endpoints. Mixes are
-// ordered by countA.
+// ordered by countA. Each pod is evaluated on ws once, and every mix
+// carries both evaluations.
 func EnumerateHetero(n tech.Node, podA, podB Pod, ws []workload.Workload) ([]HeteroChip, error) {
+	perfA, perfB := podA.Perf(ws), podB.Perf(ws)
 	var out []HeteroChip
 	maxA := int(n.MaxDieAreaMM2/podA.Area(n)) + 1
 	maxB := int(n.MaxDieAreaMM2/podB.Area(n)) + 1
@@ -81,8 +86,8 @@ func EnumerateHetero(n tech.Node, podA, podB Pod, ws []workload.Workload) ([]Het
 			if a == 0 && b == 0 {
 				continue
 			}
-			c := HeteroChip{Node: n, PodA: podA, PodB: podB, CountA: a, CountB: b}
-			if c.feasible(ws) {
+			c := HeteroChip{Node: n, PodA: podA, PodB: podB, CountA: a, CountB: b, perfA: perfA, perfB: perfB}
+			if c.feasible() {
 				out = append(out, c)
 			}
 		}
@@ -96,7 +101,7 @@ func EnumerateHetero(n tech.Node, podA, podB Pod, ws []workload.Workload) ([]Het
 // ParetoHetero filters the mixes to the Pareto frontier over
 // (latency-capable throughput, total throughput): a mix survives if no
 // other mix has both more pod-A performance and more total performance.
-func ParetoHetero(mixes []HeteroChip, ws []workload.Workload) []HeteroChip {
+func ParetoHetero(mixes []HeteroChip) []HeteroChip {
 	type scored struct {
 		c     HeteroChip
 		aPerf float64
@@ -104,7 +109,7 @@ func ParetoHetero(mixes []HeteroChip, ws []workload.Workload) []HeteroChip {
 	}
 	ss := make([]scored, len(mixes))
 	for i, c := range mixes {
-		ss[i] = scored{c, float64(c.CountA) * c.PodA.IPC(ws), c.IPC(ws)}
+		ss[i] = scored{c, float64(c.CountA) * c.perfA.IPC, c.IPC()}
 	}
 	var out []HeteroChip
 	for i, s := range ss {

@@ -72,7 +72,7 @@ func TestParetoHetero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frontier := ParetoHetero(mixes, ws)
+	frontier := ParetoHetero(mixes)
 	if len(frontier) == 0 || len(frontier) > len(mixes) {
 		t.Fatalf("frontier size %d of %d", len(frontier), len(mixes))
 	}
@@ -80,10 +80,10 @@ func TestParetoHetero(t *testing.T) {
 	// both non-dominated by construction.
 	var maxTotal, maxA HeteroChip
 	for _, c := range mixes {
-		if c.IPC(ws) > maxTotal.IPC(ws) {
+		if c.IPC() > maxTotal.IPC() {
 			maxTotal = c
 		}
-		if float64(c.CountA)*c.PodA.IPC(ws) > float64(maxA.CountA)*maxA.PodA.IPC(ws) {
+		if float64(c.CountA)*c.perfA.IPC > float64(maxA.CountA)*maxA.perfA.IPC {
 			maxA = c
 		}
 	}

@@ -59,22 +59,28 @@ func (p Pod) Power(n tech.Node) float64 {
 	return float64(p.Cores)*n.CorePower(p.Core) + n.LLCPower(p.LLCMB)
 }
 
-// IPC returns the pod's aggregate application IPC averaged over the suite.
-func (p Pod) IPC(ws []workload.Workload) float64 {
-	return analytic.SuiteMeanIPC(ws, p.Design())
+// Perf evaluates the pod on the suite with one analytic evaluation
+// (analytic.EvaluateSuite): its suite-mean aggregate IPC and its
+// worst-case off-chip demand together. Callers that need both, or the
+// pod's PD as well (PDFrom), evaluate once here.
+func (p Pod) Perf(ws []workload.Workload) analytic.Perf {
+	return analytic.EvaluateSuite(ws, p.Design())
 }
+
+// IPC returns the pod's aggregate application IPC averaged over the suite.
+func (p Pod) IPC(ws []workload.Workload) float64 { return p.Perf(ws).IPC }
 
 // PD returns the pod's performance density — aggregate IPC per mm^2 —
 // the optimization metric of the scale-out design methodology.
-func (p Pod) PD(n tech.Node, ws []workload.Workload) float64 {
-	return p.IPC(ws) / p.Area(n)
-}
+func (p Pod) PD(n tech.Node, ws []workload.Workload) float64 { return p.PDFrom(n, p.Perf(ws)) }
+
+// PDFrom is PD from an evaluation of the pod the caller already holds
+// (Perf, or analytic.EvaluateSuites over the pods' designs).
+func (p Pod) PDFrom(n tech.Node, perf analytic.Perf) float64 { return perf.IPC / p.Area(n) }
 
 // PeakBandwidthGBs returns the pod's worst-case off-chip demand across
 // the suite, the figure memory channels are provisioned against.
-func (p Pod) PeakBandwidthGBs(ws []workload.Workload) float64 {
-	return analytic.WorstCaseDemandGBs(ws, p.Design())
-}
+func (p Pod) PeakBandwidthGBs(ws []workload.Workload) float64 { return p.Perf(ws).PeakGBs }
 
 // SweepPoint is one evaluated pod configuration.
 type SweepPoint struct {
@@ -111,7 +117,8 @@ func Sweep(space SweepSpace, n tech.Node, ws []workload.Workload) []SweepPoint {
 		for _, llc := range space.LLCSizes {
 			for c := 1; c <= space.MaxCores; c *= 2 {
 				p := Pod{Core: space.Core, Cores: c, LLCMB: llc, Net: net}
-				out = append(out, SweepPoint{Pod: p, PD: p.PD(n, ws), IPC: p.IPC(ws)})
+				perf := p.Perf(ws)
+				out = append(out, SweepPoint{Pod: p, PD: p.PDFrom(n, perf), IPC: perf.IPC})
 			}
 		}
 	}
@@ -170,12 +177,18 @@ const (
 // ScaleOutChip is a composed Scale-Out Processor: one or more identical
 // pods sharing only memory interfaces and SoC glue — no inter-pod
 // coherence or interconnect.
+//
+// Compose builds it: the chip keeps the pod's evaluation on the suite
+// it was composed for, and its IPC, PD, perf/Watt and demand derive
+// from that. A ScaleOutChip built any other way reports zero for them.
 type ScaleOutChip struct {
 	Node        tech.Node
 	Pod         Pod
 	Pods        int
 	MemChannels int
 	Limit       LimitingFactor
+
+	podPerf analytic.Perf // Pod.Perf on the suite Compose was given
 }
 
 // Cores returns the total core count.
@@ -199,20 +212,19 @@ func (c ScaleOutChip) Power() float64 {
 // IPC returns the chip's aggregate suite-mean IPC. Pods are independent
 // servers, so chip performance is exactly pods times pod performance —
 // the optimality-preserving scaling at the heart of the methodology.
-func (c ScaleOutChip) IPC(ws []workload.Workload) float64 {
-	return float64(c.Pods) * c.Pod.IPC(ws)
-}
+func (c ScaleOutChip) IPC() float64 { return float64(c.Pods) * c.podPerf.IPC }
 
 // PD returns the chip-level performance density (includes the memory
 // interface and SoC overheads that dilute pod-level PD).
-func (c ScaleOutChip) PD(ws []workload.Workload) float64 {
-	return c.IPC(ws) / c.DieArea()
-}
+func (c ScaleOutChip) PD() float64 { return c.IPC() / c.DieArea() }
 
 // PerfPerWatt returns suite-mean IPC per Watt of chip power.
-func (c ScaleOutChip) PerfPerWatt(ws []workload.Workload) float64 {
-	return c.IPC(ws) / c.Power()
-}
+func (c ScaleOutChip) PerfPerWatt() float64 { return c.IPC() / c.Power() }
+
+// PeakBandwidthGBs returns the chip's worst-case off-chip demand, every
+// pod drawing its own: the figure its memory channels are provisioned
+// against.
+func (c ScaleOutChip) PeakBandwidthGBs() float64 { return float64(c.Pods) * c.podPerf.PeakGBs }
 
 // channelsFor returns the memory channels needed for the given worst-case
 // demand at the node's interface generation.
@@ -227,12 +239,13 @@ func channelsFor(n tech.Node, demandGBs float64) int {
 // Compose replicates the pod up to the node's area, power, and bandwidth
 // budgets (Section 3.2.3) and returns the resulting Scale-Out Processor.
 // Memory channels are provisioned for the worst-case workload demand.
+// The pod is evaluated on ws once, and the chip keeps that evaluation.
 func Compose(n tech.Node, pod Pod, ws []workload.Workload) (ScaleOutChip, error) {
-	perPodBW := pod.PeakBandwidthGBs(ws)
-	best := ScaleOutChip{Node: n, Pod: pod}
+	perf := pod.Perf(ws)
+	best := ScaleOutChip{Node: n, Pod: pod, podPerf: perf}
 	for pods := 1; ; pods++ {
-		ch := channelsFor(n, perPodBW*float64(pods))
-		c := ScaleOutChip{Node: n, Pod: pod, Pods: pods, MemChannels: ch}
+		ch := channelsFor(n, perf.PeakGBs*float64(pods))
+		c := ScaleOutChip{Node: n, Pod: pod, Pods: pods, MemChannels: ch, podPerf: perf}
 		switch {
 		case ch > tech.MaxMemoryInterfaces:
 			best.Limit = BandwidthLimited

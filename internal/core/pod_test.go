@@ -160,10 +160,10 @@ func TestCompositionLinearity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := chip.IPC(ws), float64(chip.Pods)*podO().IPC(ws); math.Abs(got-want) > 1e-9 {
+	if got, want := chip.IPC(), float64(chip.Pods)*podO().IPC(ws); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("chip IPC %v != pods x pod IPC %v", got, want)
 	}
-	if chip.PD(ws) >= podO().PD(n, ws) {
+	if chip.PD() >= podO().PD(n, ws) {
 		t.Fatal("chip PD should be diluted by interface overheads")
 	}
 	if chip.Cores() != chip.Pods*16 || chip.LLCMB() != float64(chip.Pods)*4 {
@@ -183,7 +183,7 @@ func TestPerfPerWattPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chip.PerfPerWatt(ws) <= 0 {
+	if chip.PerfPerWatt() <= 0 {
 		t.Fatal("non-positive perf/Watt")
 	}
 }
@@ -200,7 +200,7 @@ func TestTechnologyScalingGain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gain := c20.PD(ws) / c40.PD(ws)
+		gain := c20.PD() / c40.PD()
 		if gain < 2.2 || gain > 4.3 {
 			t.Errorf("%v: 40->20nm PD gain %v outside the thesis's 2.8-3.7x window", pod, gain)
 		}

@@ -33,7 +33,8 @@ type Decision struct {
 	// QueueWait is time spent waiting for a local worker slot
 	// ("simulated" only).
 	QueueWait time.Duration
-	// Latency is the total time from the DoRouted call to resolution.
+	// Latency is the total time from the point's claim (Claim, or the
+	// DoRouted call) to its resolution.
 	Latency time.Duration
 	// Err marks a resolution that returned a genuine (non-cancellation)
 	// error.

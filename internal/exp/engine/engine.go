@@ -18,7 +18,7 @@
 // sim.RunSampled fans its seed samples out across the same workers that
 // run figure sweeps. internal/exp re-exports the user-facing surface
 // (Engine, WithEngine, ...) and layers the typed Point API on top of
-// Do.
+// Claim and DoRouted.
 package engine
 
 import (
@@ -330,6 +330,9 @@ func (e *Engine) Do(ctx context.Context, key string, compute func() (any, error)
 // computes locally; so does any point the router declines.
 // Memoization, single-flight dedup, and cancellation withdrawal are
 // identical to Do in every case.
+//
+// A keyed DoRouted is Claim followed, when the claim leaves a Flight,
+// by Flight.Resolve.
 func (e *Engine) DoRouted(ctx context.Context, key string, payload func() any, compute func() (any, error)) (any, error) {
 	if key == "" {
 		if err := e.acquire(ctx); err != nil {
@@ -340,61 +343,166 @@ func (e *Engine) DoRouted(ctx context.Context, key string, payload func() any, c
 		defer e.inflight.Add(-1)
 		return compute()
 	}
+	f, val, err := e.Claim(key)
+	if f == nil {
+		return val, err
+	}
+	return f.Resolve(ctx, payload, compute)
+}
 
+// Flight is a memoized point that Claim could not serve from the memo.
+// Either its key is in flight elsewhere and the flight waits for that
+// computation (Waiting), or the caller now owns the key's single-flight
+// memo entry and must answer it: from the store (Load), or by routing
+// or computing it (Resolve). Finish every Flight with one Resolve call,
+// unless Load returned the value: an owned flight left unfinished
+// blocks the key's waiters forever.
+type Flight struct {
+	e      *Engine
+	key    string
+	ent    *memoEntry
+	owned  bool
+	probed bool // the store has been asked for the key
+	hook   *DecisionHook
+	start  time.Time
+}
+
+// Claim serves a memoized point from the memo when that needs no wait,
+// and otherwise returns the Flight that finishes it.
+//
+// A complete memo entry is a memo hit: Claim returns its value, or the
+// genuine error it memoized, with a nil Flight, emits the point's
+// Decision and counts it toward Stats. An entry still in flight gives a
+// waiting Flight; an absent key becomes a new single-flight entry owned
+// by the caller, whose Flight probes the store (Load) before routing or
+// computing (Resolve).
+//
+// A keyed DoRouted is Claim then Resolve. A batch (internal/exp.Points)
+// claims its keyed points on the calling goroutine, spreads the store
+// probes of the keys it owns over at most Workers() goroutines, and
+// starts a goroutine only for a flight that must route or compute. key
+// must be non-empty.
+func (e *Engine) Claim(key string) (*Flight, any, error) {
 	hook := e.loadDecisionHook()
-	start := decisionClock(hook)
+	return e.claim(key, hook, decisionClock(hook))
+}
 
-	var ent *memoEntry
-	for {
-		e.mu.Lock()
-		if existing, ok := e.memo[key]; ok {
-			// Pin while waiting so capacity pressure from other keys
-			// cannot evict an entry someone is relying on.
-			e.pinLocked(existing)
+// claim is Claim with the decision hook and start time fixed, so a
+// flight that claims its key again after an owner's cancellation keeps
+// its latency origin.
+func (e *Engine) claim(key string, hook *DecisionHook, start time.Time) (*Flight, any, error) {
+	e.mu.Lock()
+	if ent, ok := e.memo[key]; ok {
+		select {
+		case <-ent.done:
+			// A resident complete entry never holds a cancellation:
+			// finish withdraws those before closing done.
+			e.touchLocked(ent)
 			e.mu.Unlock()
-			select {
-			case <-existing.done:
-				val, err := existing.val, existing.err
-				e.unpin(existing)
-				if IsCancellation(err) {
-					// The owner was cancelled before it could compute
-					// and withdrew the entry; retry under our own
-					// context rather than inheriting its cancellation.
-					continue
-				}
-				e.hits.Add(1)
-				if hook != nil {
-					(*hook)(Decision{Key: key, Source: "memo", Latency: time.Since(start), Err: err != nil})
-				}
-				if err != nil {
-					return nil, err
-				}
-				return val, nil
-			case <-ctx.Done():
-				e.unpin(existing)
-				return nil, ctx.Err()
-			}
+			val, err := e.memoHit(ent, hook, start)
+			return nil, val, err
+		default:
 		}
-		ent = &memoEntry{key: key, done: make(chan struct{}), refs: 1}
-		e.memo[key] = ent
-		// The insert may push the memo over capacity; evict the
-		// least recently used unpinned entry (never this one — it is
-		// pinned by its owner ref until the computation finishes).
-		e.trimLocked()
+		// Pin while waiting so capacity pressure from other keys cannot
+		// evict an entry someone is relying on.
+		e.pinLocked(ent)
 		e.mu.Unlock()
-		break
+		return &Flight{e: e, key: key, ent: ent, hook: hook, start: start}, nil, nil
 	}
+	ent := &memoEntry{key: key, done: make(chan struct{}), refs: 1}
+	e.memo[key] = ent
+	// The insert may push the memo over capacity; evict the
+	// least recently used unpinned entry (never this one — it is
+	// pinned by its owner ref until the computation finishes).
+	e.trimLocked()
+	e.mu.Unlock()
+	return &Flight{e: e, key: key, ent: ent, owned: true, hook: hook, start: start}, nil, nil
+}
 
-	// Probe the persistent store before routing or computing: a disk
-	// hit completes the owned single-flight entry immediately, without
-	// holding a worker slot or a network round-trip, and counts as a
-	// store hit rather than a miss — the point was never simulated.
-	if val, ok := e.storeLoad(key); ok {
-		if hook != nil {
-			(*hook)(Decision{Key: key, Source: "store", Latency: time.Since(start)})
-		}
-		return e.finish(ent, key, val, nil)
+// memoHit serves a complete entry as a memo hit, counted and recorded:
+// its value, or the genuine error it memoized.
+func (e *Engine) memoHit(ent *memoEntry, hook *DecisionHook, start time.Time) (any, error) {
+	e.hits.Add(1)
+	if hook != nil {
+		(*hook)(Decision{Key: ent.key, Source: "memo", Latency: time.Since(start), Err: ent.err != nil})
 	}
+	if ent.err != nil {
+		return nil, ent.err
+	}
+	return ent.val, nil
+}
+
+// Waiting reports whether the flight waits on a computation of its key
+// already in flight elsewhere, rather than owning the key.
+func (f *Flight) Waiting() bool { return !f.owned }
+
+// Load probes the persistent store for an owned flight's key, once. A
+// disk hit completes the flight without a worker slot or a network
+// round-trip: the value is memoized, counted as a store hit rather than
+// a miss (the point was never simulated), recorded as a "store"
+// Decision, and returned with ok true; the flight then needs no
+// Resolve. A waiting flight, an engine without a store, a key the store
+// lacks, or a second call reports ok false, and Resolve finishes the
+// flight without probing again. Load is safe to call on a goroutine
+// other than the one that claimed the flight, but never concurrently
+// with the flight's other methods.
+func (f *Flight) Load() (val any, ok bool) {
+	if !f.owned || f.probed {
+		return nil, false
+	}
+	f.probed = true
+	val, ok = f.e.storeLoad(f.key)
+	if !ok {
+		return nil, false
+	}
+	if f.hook != nil {
+		(*f.hook)(Decision{Key: f.key, Source: "store", Latency: time.Since(f.start)})
+	}
+	val, _ = f.e.finish(f.ent, f.key, val, nil)
+	return val, true
+}
+
+// Resolve finishes the flight and returns the point's value. A waiting
+// flight blocks until the in-flight computation completes and serves
+// its result as a memo hit; if that computation was cancelled before
+// it could compute, Resolve claims the key again under ctx rather than
+// inheriting the cancellation. An owned flight probes the store unless
+// Load already has, then is offered to the router and otherwise
+// computed under a worker slot, memoized, and written through to the
+// store, with DoRouted's rules for payloads, declines and cancellation
+// withdrawal.
+func (f *Flight) Resolve(ctx context.Context, payload func() any, compute func() (any, error)) (any, error) {
+	e := f.e
+	for !f.owned {
+		select {
+		case <-f.ent.done:
+			e.unpin(f.ent)
+			if !IsCancellation(f.ent.err) {
+				return e.memoHit(f.ent, f.hook, f.start)
+			}
+			// The owner was cancelled before it could compute and
+			// withdrew the entry; retry under our own context rather
+			// than inheriting its cancellation.
+			next, val, err := e.claim(f.key, f.hook, f.start)
+			if next == nil {
+				return val, err
+			}
+			f = next
+		case <-ctx.Done():
+			e.unpin(f.ent)
+			return nil, ctx.Err()
+		}
+	}
+	if val, ok := f.Load(); ok {
+		return val, nil
+	}
+	return e.run(ctx, f, payload, compute)
+}
+
+// run routes or computes an owned flight's point and publishes the
+// result to its memo entry.
+func (e *Engine) run(ctx context.Context, f *Flight, payload func() any, compute func() (any, error)) (any, error) {
+	key, ent, hook, start := f.key, f.ent, f.hook, f.start
 
 	// Offer the work to the router next: routed work waits on a
 	// replica, not a local worker slot, so it skips acquire entirely.
@@ -482,10 +590,20 @@ func (e *Engine) finish(ent *memoEntry, key string, val any, err error) (any, er
 	return val, nil
 }
 
+// touchLocked marks a complete entry most recently used, as pinning and
+// unpinning it around a memo hit would. Callers hold e.mu.
+func (e *Engine) touchLocked(ent *memoEntry) {
+	if ent.inLRU {
+		e.lruRemoveLocked(ent)
+		e.lruPushFrontLocked(ent)
+		e.trimLocked()
+	}
+}
+
 // pinLocked takes a reference on ent, removing it from the LRU list if
 // it was evictable. On an unbounded engine nothing can ever be evicted,
-// so the bookkeeping (and unpin's second lock acquisition on the memo
-// hit path) is skipped entirely. Callers hold e.mu.
+// so the bookkeeping (and unpin's second lock acquisition after a wait)
+// is skipped entirely. Callers hold e.mu.
 func (e *Engine) pinLocked(ent *memoEntry) {
 	if e.capacity == 0 {
 		return
@@ -607,10 +725,7 @@ func (e *Engine) Cached(key string) (any, bool) {
 		e.mu.Unlock()
 		return nil, false
 	}
-	if e.capacity > 0 && ent.inLRU {
-		e.lruRemoveLocked(ent)
-		e.lruPushFrontLocked(ent)
-	}
+	e.touchLocked(ent)
 	val := ent.val
 	e.mu.Unlock()
 	e.hits.Add(1)

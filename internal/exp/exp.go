@@ -22,6 +22,7 @@ package exp
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"scaleout/internal/exp/engine"
 	"scaleout/internal/sim"
@@ -178,6 +179,17 @@ func (p Func[R]) RoutePayload() any { return p.P }
 // failures over cancellations) aborts the batch; points already running
 // finish and are memoized for later callers.
 //
+// Points claims every keyed point on the calling goroutine
+// (Engine.Claim), so a memo hit resolves there and starts nothing. Two
+// kinds of work then run on at most Workers() goroutines, the caller
+// among them, each pulling the next task: the store probes of the keys
+// the batch now owns (Flight.Load), so a large warm batch decodes its
+// stored results in parallel, and the unkeyed points, which each hold a
+// worker slot while they run and are never routed. A goroutine of its
+// own starts only for a keyed point that must be routed or computed;
+// waits on duplicates in flight elsewhere resolve on the calling
+// goroutine once everything else is running.
+//
 // A point's Compute must not call back into the same engine: it runs
 // while holding a worker slot, so nested Points/Sims/Map calls can
 // exhaust the pool and deadlock. Declare the full sweep up front
@@ -189,16 +201,87 @@ func Points[R any](ctx context.Context, e *Engine, pts []Point[R]) ([]R, error) 
 	defer cancel()
 	out := make([]R, len(pts))
 	errs := make([]error, len(pts))
-	var wg sync.WaitGroup
-	for i, p := range pts {
-		wg.Add(1)
-		go func(i int, p Point[R]) {
-			defer wg.Done()
-			out[i], errs[i] = resolve(ctx, e, p)
-			if errs[i] != nil && !engine.IsCancellation(errs[i]) {
+	set := func(i int, v any, err error) {
+		if err != nil {
+			errs[i] = err
+			if !engine.IsCancellation(err) {
 				cancel()
 			}
-		}(i, p)
+			return
+		}
+		out[i] = v.(R)
+	}
+	var wg sync.WaitGroup
+	run := func(i int, f *engine.Flight) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := resolve(ctx, f, pts[i])
+			set(i, v, err)
+		}()
+	}
+	// A task is an unkeyed point (nil flight) or an owned flight's store
+	// probe; a wait is a flight on a key in flight elsewhere.
+	type task struct {
+		i int
+		f *engine.Flight
+	}
+	var tasks, waits []task
+	probe := e.HasStore()
+	for i, p := range pts {
+		if err := ctx.Err(); err != nil {
+			errs[i] = err
+			continue
+		}
+		key := p.Key()
+		if key == "" {
+			tasks = append(tasks, task{i, nil})
+			continue
+		}
+		f, v, err := e.Claim(key)
+		switch {
+		case f == nil:
+			set(i, v, err)
+		case f.Waiting():
+			waits = append(waits, task{i, f})
+		case probe:
+			tasks = append(tasks, task{i, f})
+		default:
+			run(i, f)
+		}
+	}
+	if len(tasks) > 0 {
+		var next atomic.Int64
+		pull := func() {
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(tasks) {
+					return
+				}
+				t := tasks[k]
+				if t.f == nil {
+					v, err := e.DoRouted(ctx, "", nil, computeFunc(pts[t.i]))
+					set(t.i, v, err)
+				} else if v, ok := t.f.Load(); ok {
+					set(t.i, v, nil)
+				} else {
+					run(t.i, t.f)
+				}
+			}
+		}
+		helpers := min(e.Workers(), len(tasks)) - 1
+		wg.Add(helpers)
+		for h := 0; h < helpers; h++ {
+			go func() {
+				defer wg.Done()
+				pull()
+			}()
+		}
+		pull()
+	}
+	for _, w := range waits {
+		v, err := resolve(ctx, w.f, pts[w.i])
+		set(w.i, v, err)
 	}
 	wg.Wait()
 	if err := FirstError(errs, nil); err != nil {
@@ -207,21 +290,22 @@ func Points[R any](ctx context.Context, e *Engine, pts []Point[R]) ([]R, error) 
 	return out, nil
 }
 
-// resolve computes one point on the engine's pool and memo; routable
-// points offer their payload to the engine's router first. The payload
-// is handed over unevaluated: the engine builds it only for a point it
-// is about to route.
-func resolve[R any](ctx context.Context, e *Engine, p Point[R]) (R, error) {
+// resolve finishes a point's flight: a wait on an in-flight duplicate,
+// or a miss routable points first offer to the engine's router. The
+// payload is handed over unevaluated: the engine builds it only for a
+// point it is about to route.
+func resolve[R any](ctx context.Context, f *engine.Flight, p Point[R]) (any, error) {
 	var payload func() any
 	if rp, ok := p.(Routable); ok {
 		payload = rp.RoutePayload
 	}
-	v, err := e.DoRouted(ctx, p.Key(), payload, func() (any, error) { return p.Compute() })
-	if err != nil {
-		var zero R
-		return zero, err
-	}
-	return v.(R), nil
+	return f.Resolve(ctx, payload, computeFunc(p))
+}
+
+// computeFunc adapts a point's typed Compute to the engine's untyped
+// computation.
+func computeFunc[R any](p Point[R]) func() (any, error) {
+	return func() (any, error) { return p.Compute() }
 }
 
 // Sims evaluates a batch of cycle-simulator configurations on the

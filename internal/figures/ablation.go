@@ -51,7 +51,7 @@ func ablatePodSize(ctx context.Context) (Table, error) {
 			continue
 		}
 		t.AddRow(pod.String(), itoa(chip.Pods), itoa(chip.Cores()),
-			itoa(chip.MemChannels), f3(chip.PD(ws)), f2(chip.PerfPerWatt(ws)))
+			itoa(chip.MemChannels), f3(chip.PD()), f2(chip.PerfPerWatt()))
 	}
 	return t, nil
 }
@@ -74,7 +74,7 @@ func ablatePodLLC(ctx context.Context) (Table, error) {
 			return t, err
 		}
 		t.AddRow(pod.String(), itoa(chip.Pods), itoa(chip.MemChannels),
-			f3(chip.PD(ws)), f1(float64(chip.Pods)*pod.PeakBandwidthGBs(ws)))
+			f3(chip.PD()), f1(chip.PeakBandwidthGBs()))
 	}
 	return t, nil
 }
@@ -248,11 +248,11 @@ func ablateTCO(ctx context.Context) (Table, error) {
 				p := tco.NewParams()
 				p.ElectricityPerKWh = price
 				p.PUE = pue
-				dcC, err := tco.Compose(p, conv, 64, ws)
+				dcC, err := tco.Compose(p, conv, 64)
 				if err != nil {
 					return nil, err
 				}
-				dcS, err := tco.Compose(p, soI, 64, ws)
+				dcS, err := tco.Compose(p, soI, 64)
 				if err != nil {
 					return nil, err
 				}

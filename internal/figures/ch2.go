@@ -67,7 +67,7 @@ func fig22(ctx context.Context) (Table, error) {
 			base := 0.0
 			for i, mb := range sizes {
 				d := analytic.NewDesign(tech.Conventional, 4, mb, noc.Crossbar)
-				perf := analytic.ChipIPC(w, d)
+				perf := analytic.ChipIPC(&w, d)
 				if i == 0 {
 					base = perf
 				}
@@ -96,14 +96,17 @@ func fig23(ctx context.Context) (Table, error) {
 		Headers: []string{"Cores", "PerCore(Ideal)", "PerCore(Mesh)",
 			"Chip(Ideal)", "Chip(Mesh)"},
 	}
-	base := analytic.SuiteMeanPerCoreIPC(ws, analytic.NewDesign(tech.OoO, 1, 4, noc.Ideal))
+	base := analytic.EvaluateSuite(ws, analytic.NewDesign(tech.OoO, 1, 4, noc.Ideal)).PerCoreIPC
 	var cores []int
 	for c := 1; c <= 256; c *= 2 {
 		cores = append(cores, c)
 	}
 	rows, err := exp.Map(ctx, exp.FromContext(ctx), cores, func(c int) ([]string, error) {
-		ideal := analytic.SuiteMeanPerCoreIPC(ws, analytic.NewDesign(tech.OoO, c, 4, noc.Ideal))
-		mesh := analytic.SuiteMeanPerCoreIPC(ws, analytic.NewDesign(tech.OoO, c, 4, noc.Mesh))
+		// The two designs differ only in the network, so they share each
+		// workload's access breakdown.
+		perf := analytic.EvaluateSuites(ws,
+			analytic.NewDesign(tech.OoO, c, 4, noc.Ideal), analytic.NewDesign(tech.OoO, c, 4, noc.Mesh))
+		ideal, mesh := perf[0].PerCoreIPC, perf[1].PerCoreIPC
 		return []string{itoa(c), f3(ideal / base), f3(mesh / base),
 			f1(float64(c) * ideal / base), f1(float64(c) * mesh / base)}, nil
 	})
@@ -125,8 +128,8 @@ func catalogTable(id string, n tech.Node) (Table, error) {
 			"Die(mm2)", "Power(W)", "Perf/Watt"},
 	}
 	for _, s := range chip.Catalog(n, ws) {
-		t.AddRow(s.Name(), f3(s.PD(ws)), itoa(s.Cores), fg(s.LLCMB),
-			itoa(s.MemChannels), f0(s.DieArea()), f0(s.Power()), f2(s.PerfPerWatt(ws)))
+		t.AddRow(s.Name(), f3(s.PD()), itoa(s.Cores), fg(s.LLCMB),
+			itoa(s.MemChannels), f0(s.DieArea()), f0(s.Power()), f2(s.PerfPerWatt()))
 	}
 	return t, nil
 }

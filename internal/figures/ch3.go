@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"scaleout/internal/analytic"
 	"scaleout/internal/core"
 	"scaleout/internal/exp"
 	"scaleout/internal/noc"
@@ -37,11 +38,11 @@ func fig31(ctx context.Context) (Table, error) {
 	var cores []int
 	for c := 1; c <= 256; c *= 2 {
 		p := core.Pod{Core: tech.OoO, Cores: c, LLCMB: 4, Net: noc.Crossbar}
-		ipc := p.IPC(ws)
+		perf := p.Perf(ws)
 		cores = append(cores, c)
-		perCore = append(perCore, ipc/float64(c))
-		perChip = append(perChip, ipc)
-		pd = append(pd, p.PD(n, ws))
+		perCore = append(perCore, perf.IPC/float64(c))
+		perChip = append(perChip, perf.IPC)
+		pd = append(pd, p.PDFrom(n, perf))
 	}
 	normPeak := func(xs []float64) []float64 {
 		peak := xs[0]
@@ -120,8 +121,9 @@ func workloadSlice(w workload.Workload) []workload.Workload {
 
 // pdSweep renders Figures 3.4 (OoO) and 3.6 (in-order): suite-mean pod
 // performance density across core counts, LLC sizes 1-8MB, and three
-// interconnects. One engine point evaluates one (LLC, net) row of the
-// analytic surface.
+// interconnects. One engine point evaluates one LLC size's rows, one per
+// interconnect: the three pods of a core count differ only in the
+// network, so they share each workload's access breakdown.
 func pdSweep(ctx context.Context, id string, coreType tech.CoreType) (Table, error) {
 	ws := workload.Suite()
 	n := tech.N40()
@@ -130,28 +132,31 @@ func pdSweep(ctx context.Context, id string, coreType tech.CoreType) (Table, err
 		Title:   fmt.Sprintf("Performance density sweep (%s cores, 40nm)", coreType),
 		Headers: []string{"LLC(MB)", "Net", "1", "2", "4", "8", "16", "32", "64", "128", "256"},
 	}
-	type rowSpec struct {
-		llc  float64
-		kind noc.Kind
-	}
-	var specs []rowSpec
-	for _, llc := range []float64{1, 2, 4, 8} {
-		for _, kind := range []noc.Kind{noc.Ideal, noc.Crossbar, noc.Mesh} {
-			specs = append(specs, rowSpec{llc, kind})
+	kinds := [...]noc.Kind{noc.Ideal, noc.Crossbar, noc.Mesh}
+	blocks, err := exp.Map(ctx, exp.FromContext(ctx), []float64{1, 2, 4, 8}, func(llc float64) ([][]string, error) {
+		rows := make([][]string, len(kinds))
+		var pods [len(kinds)]core.Pod
+		var ds [len(kinds)]analytic.Design
+		for k, kind := range kinds {
+			rows[k] = []string{fg(llc), kind.String()}
 		}
-	}
-	rows, err := exp.Map(ctx, exp.FromContext(ctx), specs, func(s rowSpec) ([]string, error) {
-		row := []string{fg(s.llc), s.kind.String()}
 		for c := 1; c <= 256; c *= 2 {
-			p := core.Pod{Core: coreType, Cores: c, LLCMB: s.llc, Net: s.kind}
-			row = append(row, f3(p.PD(n, ws)))
+			for k, kind := range kinds {
+				pods[k] = core.Pod{Core: coreType, Cores: c, LLCMB: llc, Net: kind}
+				ds[k] = pods[k].Design()
+			}
+			for k, perf := range analytic.EvaluateSuites(ws, ds[:]...) {
+				rows[k] = append(rows[k], f3(pods[k].PDFrom(n, perf)))
+			}
 		}
-		return row, nil
+		return rows, nil
 	})
 	if err != nil {
 		return t, err
 	}
-	t.Rows = rows
+	for _, rows := range blocks {
+		t.Rows = append(t.Rows, rows...)
+	}
 	return t, nil
 }
 
@@ -213,8 +218,8 @@ func table32(ctx context.Context) (Table, error) {
 				return t, err
 			}
 			t.AddRow(n.Name, fmt.Sprintf("%s %dx%s", d.name, c.Pods, c.Pod),
-				f3(c.PD(ws)), itoa(c.Cores()), fg(c.LLCMB()), itoa(c.MemChannels),
-				f0(c.DieArea()), f0(c.Power()), f2(c.PerfPerWatt(ws)), string(c.Limit))
+				f3(c.PD()), itoa(c.Cores()), fg(c.LLCMB()), itoa(c.MemChannels),
+				f0(c.DieArea()), f0(c.Power()), f2(c.PerfPerWatt()), string(c.Limit))
 		}
 		// Context rows: the strongest competing organizations.
 		cat, err := catalogTable("", n)

@@ -43,7 +43,7 @@ func composeAll(ctx context.Context, memGB int) ([]chip.Spec, []tco.Datacenter, 
 	p := tco.NewParams()
 	specs := chip.TCOCatalog(ws)
 	dcs, err := exp.Map(ctx, exp.FromContext(ctx), specs, func(s chip.Spec) (tco.Datacenter, error) {
-		return tco.Compose(p, s, memGB, ws)
+		return tco.Compose(p, s, memGB)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -114,7 +114,7 @@ func tcoSweep(ctx context.Context, id string, perTCO bool) (Table, error) {
 		func(s chip.Spec) ([]string, error) {
 			row := []string{s.Name()}
 			for _, mem := range []int{32, 64, 128} {
-				dc, err := tco.Compose(p, s, mem, ws)
+				dc, err := tco.Compose(p, s, mem)
 				if err != nil {
 					return nil, err
 				}
@@ -148,7 +148,7 @@ func fig55(ctx context.Context) (Table, error) {
 	}
 	rows, err := exp.Map(ctx, exp.FromContext(ctx), chip.TCOCatalog(ws),
 		func(s chip.Spec) ([]string, error) {
-			dc, err := tco.Compose(p, s, 64, ws)
+			dc, err := tco.Compose(p, s, 64)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"scaleout/internal/analytic"
 	"scaleout/internal/core"
 	"scaleout/internal/exp"
 	"scaleout/internal/noc"
@@ -24,7 +25,9 @@ func init() {
 // counts and LLC capacities (2-32MB) for 1, 2, and 4 stacked logic dies.
 // Stacking folds the pod vertically, shortening horizontal wires, so PD
 // rises with die count at every configuration. One engine point
-// evaluates one (LLC, cores) row across the three die counts.
+// evaluates one (LLC, cores) row across the three die counts; folding
+// changes only the pod's wires, so the three pods share each workload's
+// access breakdown.
 func pd3DSweep(ctx context.Context, id string, coreType tech.CoreType) (Table, error) {
 	ws := workload.Suite()
 	n := tech.N40For3D()
@@ -47,10 +50,15 @@ func pd3DSweep(ctx context.Context, id string, coreType tech.CoreType) (Table, e
 	rows, err := exp.Map(ctx, exp.FromContext(ctx), specs, func(s rowSpec) ([]string, error) {
 		base := core.Pod{Core: coreType, Cores: s.cores, LLCMB: s.llc, Net: noc.Crossbar}
 		row := []string{fg(s.llc), itoa(s.cores)}
-		for _, dies := range []int{1, 2, 4} {
+		var pods [3]core.Pod
+		var ds [3]analytic.Design
+		for i, dies := range []int{1, 2, 4} {
+			pods[i] = stack3d.PodAt(base, n, dies, stack3d.FixedPod)
+			ds[i] = pods[i].Design()
+		}
+		for i, perf := range analytic.EvaluateSuites(ws, ds[:]...) {
 			// Per-pod density, independent of chip-level replication.
-			pod := stack3d.PodAt(base, n, dies, stack3d.FixedPod)
-			row = append(row, f3(pod.IPC(ws)/pod.Area(n)))
+			row = append(row, f3(pods[i].PDFrom(n, perf)))
 		}
 		return row, nil
 	})
@@ -91,7 +99,7 @@ func strategies(id string, coreType tech.CoreType, dieCounts []int) (Table, erro
 				return t, err
 			}
 			t.AddRow(itoa(dies), s.String(), c.Pod.String(), itoa(c.Pods),
-				itoa(c.MemChannels), f3(c.PD3D(ws)))
+				itoa(c.MemChannels), f3(c.PD3D()))
 		}
 	}
 	return t, nil
@@ -134,7 +142,7 @@ func table62() (Table, error) {
 					return t, err
 				}
 				t.AddRow(coreType.String(), itoa(dies), name, itoa(c.Pods),
-					c.Pod.String(), itoa(c.MemChannels), f3(c.PD3D(ws)),
+					c.Pod.String(), itoa(c.MemChannels), f3(c.PD3D()),
 					f0(c.Power()), string(c.Limit))
 			}
 		}

@@ -37,7 +37,7 @@ func extHetero(ctx context.Context) (Table, error) {
 		return Table{}, err
 	}
 	pareto := map[string]bool{}
-	for _, c := range core.ParetoHetero(mixes, ws) {
+	for _, c := range core.ParetoHetero(mixes) {
 		pareto[fmt.Sprintf("%d/%d", c.CountA, c.CountB)] = true
 	}
 	t := Table{
@@ -52,7 +52,7 @@ func extHetero(ctx context.Context) (Table, error) {
 			mark = "*"
 		}
 		t.AddRow(itoa(c.CountA), itoa(c.CountB), itoa(c.Cores()), itoa(c.MemChannels),
-			f0(c.DieArea()), f0(c.Power()), f1(c.IPC(ws)), f3(c.PD(ws)), mark)
+			f0(c.DieArea()), f0(c.Power()), f1(c.IPC()), f3(c.PD()), mark)
 	}
 	return t, nil
 }

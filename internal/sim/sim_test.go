@@ -105,7 +105,7 @@ func TestAgreementWithModel(t *testing.T) {
 				Net: noc.New(noc.Crossbar, cores), DisableSWScaling: true,
 			}
 			r := run(t, cfg)
-			model := analytic.ChipIPC(w, analytic.NewDesign(tech.OoO, cores, 4, noc.Crossbar))
+			model := analytic.ChipIPC(&w, analytic.NewDesign(tech.OoO, cores, 4, noc.Crossbar))
 			if errPct := math.Abs(r.AppIPC-model) / model; errPct > 0.15 {
 				t.Errorf("%s at %d cores: sim %v vs model %v (%.0f%%)",
 					w.Name, cores, r.AppIPC, model, errPct*100)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"scaleout/internal/analytic"
 	"scaleout/internal/core"
 	"scaleout/internal/noc"
 	"scaleout/internal/tech"
@@ -87,6 +88,10 @@ func PodAt(base core.Pod, node tech.Node, dies int, s Strategy) core.Pod {
 }
 
 // Chip3D is a composed 3D Scale-Out Processor.
+//
+// Compose3D builds it: the chip keeps the effective pod's evaluation on
+// the suite it was composed for, and its IPC and PD3D derive from that.
+// A Chip3D built any other way reports zero for them.
 type Chip3D struct {
 	Node        tech.Node
 	Dies        int
@@ -96,6 +101,8 @@ type Chip3D struct {
 	Pods        int
 	MemChannels int
 	Limit       core.LimitingFactor
+
+	podPerf analytic.Perf // Pod.Perf on the suite Compose3D was given
 }
 
 // Cores returns the total core count across pods.
@@ -133,33 +140,31 @@ func (c Chip3D) Power() float64 {
 }
 
 // IPC returns aggregate suite-mean application IPC.
-func (c Chip3D) IPC(ws []workload.Workload) float64 {
-	return float64(c.Pods) * c.Pod.IPC(ws)
-}
+func (c Chip3D) IPC() float64 { return float64(c.Pods) * c.podPerf.IPC }
 
 // PD3D returns performance per unit of silicon volume: aggregate IPC over
 // footprint area times dies. At one die this equals the 2D PD.
-func (c Chip3D) PD3D(ws []workload.Workload) float64 {
-	return c.IPC(ws) / c.TotalSilicon()
-}
+func (c Chip3D) PD3D() float64 { return c.IPC() / c.TotalSilicon() }
 
 // Compose3D replicates pods of the chosen strategy across the stack up to
-// the per-die area, stack power, and memory bandwidth budgets.
+// the per-die area, stack power, and memory bandwidth budgets. The
+// effective pod is evaluated on ws once, and the chip keeps that
+// evaluation.
 func Compose3D(n tech.Node, base core.Pod, dies int, s Strategy, ws []workload.Workload) (Chip3D, error) {
 	if dies < 1 || dies > MaxDies {
 		return Chip3D{}, fmt.Errorf("stack3d: %d dies (1-%d supported)", dies, MaxDies)
 	}
 	pod := PodAt(base, n, dies, s)
-	perPodBW := pod.PeakBandwidthGBs(ws)
-	best := Chip3D{Node: n, Dies: dies, Strategy: s, BasePod: base, Pod: pod}
+	perf := pod.Perf(ws)
+	best := Chip3D{Node: n, Dies: dies, Strategy: s, BasePod: base, Pod: pod, podPerf: perf}
 	// Fixed-distance grows the pod itself; pods still replicate until a
 	// budget binds (multi-pod 3D chips).
 	for pods := 1; ; pods++ {
-		ch := int(math.Ceil(perPodBW * float64(pods) / n.Memory.UsableGBs()))
+		ch := int(math.Ceil(perf.PeakGBs * float64(pods) / n.Memory.UsableGBs()))
 		if ch < 1 {
 			ch = 1
 		}
-		c := Chip3D{Node: n, Dies: dies, Strategy: s, BasePod: base, Pod: pod, Pods: pods, MemChannels: ch}
+		c := Chip3D{Node: n, Dies: dies, Strategy: s, BasePod: base, Pod: pod, Pods: pods, MemChannels: ch, podPerf: perf}
 		switch {
 		case ch > tech.MaxMemoryInterfaces:
 			best.Limit = core.BandwidthLimited
@@ -194,7 +199,7 @@ func CompareStrategies(n tech.Node, base core.Pod, dies int, ws []workload.Workl
 		if err != nil {
 			return out, err
 		}
-		out[i] = StrategyResult{Chip: c, PD: c.PD3D(ws)}
+		out[i] = StrategyResult{Chip: c, PD: c.PD3D()}
 	}
 	if out[1].PD > out[0].PD {
 		out[0], out[1] = out[1], out[0]
@@ -217,7 +222,7 @@ func Optimal2DPod(n tech.Node, coreType tech.CoreType, ws []workload.Workload) (
 			if err != nil {
 				continue
 			}
-			pd := chip.PD3D(ws)
+			pd := chip.PD3D()
 			if pd > best.PD {
 				best = core.SweepPoint{Pod: p, PD: pd}
 			}

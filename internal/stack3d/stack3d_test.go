@@ -104,13 +104,13 @@ func TestPDRisesWithDies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pd1 := oneDie.PD3D(ws)
+		pd1 := oneDie.PD3D()
 		for _, s := range []Strategy{FixedPod, FixedDistance} {
 			c, err := Compose3D(node(), base, 2, s, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pd := c.PD3D(ws); pd <= pd1 {
+			if pd := c.PD3D(); pd <= pd1 {
 				t.Errorf("%v %v: 2-die PD %v not above 2D PD %v", base, s, pd, pd1)
 			}
 		}
@@ -185,7 +185,7 @@ func TestPD3DReducesTo2D(t *testing.T) {
 		t.Fatal(err)
 	}
 	silicon := c.LogicArea() + float64(c.MemChannels)*tech.MemIfaceAreaMM2 + tech.SoCMiscAreaMM2
-	if got, want := c.PD3D(ws), c.IPC(ws)/silicon; math.Abs(got-want) > 1e-12 {
+	if got, want := c.PD3D(), c.IPC()/silicon; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("1-die PD3D %v != 2D PD %v", got, want)
 	}
 	if c.FootprintArea() != silicon {
@@ -201,7 +201,7 @@ func TestAggregates(t *testing.T) {
 	if c.Cores() != c.Pods*c.Pod.Cores || c.LLCMB() != float64(c.Pods)*c.Pod.LLCMB {
 		t.Fatal("aggregate counts inconsistent")
 	}
-	if c.IPC(ws) <= 0 {
+	if c.IPC() <= 0 {
 		t.Fatal("non-positive IPC")
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -359,7 +360,10 @@ func TestEngineEvictionFallsBackToDisk(t *testing.T) {
 			return simVal(i), nil
 		}
 	}
-	ctx := t.Context()
+	// A context the test owns: t.Context needs Go 1.24, and go.mod
+	// promises 1.22.
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	if _, err := eng.Do(ctx, "a", compute(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"scaleout/internal/chip"
-	"scaleout/internal/workload"
 )
 
 // Params carries the Table 5.2 cost model constants. NewParams returns
@@ -151,10 +150,15 @@ func socketsPerServer(p Params, s chip.Spec, memoryGB int) (int, float64) {
 }
 
 // Compose builds a datacenter around the given chip with the given memory
-// per 1U server, under the facility power budget.
-func Compose(p Params, s chip.Spec, memoryGB int, ws []workload.Workload) (Datacenter, error) {
+// per 1U server, under the facility power budget. Its performance is the
+// chip's suite-mean IPC as chip.Spec.Evaluate recorded it; a spec that
+// was never evaluated is an error.
+func Compose(p Params, s chip.Spec, memoryGB int) (Datacenter, error) {
 	if memoryGB <= 0 {
 		return Datacenter{}, fmt.Errorf("tco: %dGB memory per server", memoryGB)
+	}
+	if s.IPC() <= 0 {
+		return Datacenter{}, fmt.Errorf("tco: %s has no suite IPC; evaluate the spec on a workload suite first", s.Name())
 	}
 	sockets, boardW := socketsPerServer(p, s, memoryGB)
 	server := ServerConfig{
@@ -172,7 +176,7 @@ func Compose(p Params, s chip.Spec, memoryGB int, ws []workload.Workload) (Datac
 		racks = 1
 	}
 	dc := Datacenter{Params: p, Server: server, Racks: racks}
-	dc.PerfIPC = float64(racks*p.ServersPerRack*sockets) * s.IPC(ws)
+	dc.PerfIPC = float64(racks*p.ServersPerRack*sockets) * s.IPC()
 	return dc, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scaleout/internal/chip"
+	"scaleout/internal/noc"
 	"scaleout/internal/tech"
 	"scaleout/internal/workload"
 )
@@ -22,7 +23,7 @@ func spec(t *testing.T, org chip.Organization, core tech.CoreType) chip.Spec {
 
 func compose(t *testing.T, s chip.Spec, memGB int) Datacenter {
 	t.Helper()
-	dc, err := Compose(NewParams(), s, memGB, ws)
+	dc, err := Compose(NewParams(), s, memGB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +199,19 @@ func TestBreakdownComponents(t *testing.T) {
 }
 
 func TestComposeValidation(t *testing.T) {
-	if _, err := Compose(NewParams(), spec(t, chip.TiledOrg, tech.OoO), 0, ws); err == nil {
+	if _, err := Compose(NewParams(), spec(t, chip.TiledOrg, tech.OoO), 0); err == nil {
 		t.Fatal("0GB memory accepted")
+	}
+	// A spec that was never evaluated, or was evaluated on no workloads,
+	// has no performance to price.
+	raw := chip.Spec{Org: chip.TiledOrg, Node: tech.N40(), Core: tech.OoO, Cores: 20, LLCMB: 20,
+		Net: noc.Mesh, MemChannels: 2}
+	empty := spec(t, chip.TiledOrg, tech.OoO)
+	empty.Evaluate(nil)
+	for name, s := range map[string]chip.Spec{"unevaluated": raw, "empty suite": empty} {
+		if dc, err := Compose(NewParams(), s, 64); err == nil {
+			t.Errorf("%s spec accepted: perf %v", name, dc.PerfIPC)
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ type Wire struct {
 
 // Wire converts the Workload to its wire form, flattening the
 // per-core-type maps into named triples.
-func (w Workload) Wire() Wire {
+func (w *Workload) Wire() Wire {
 	return Wire{
 		Name:             w.Name,
 		BaseIPC:          toWireValues(w.BaseIPC),

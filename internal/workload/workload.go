@@ -115,7 +115,7 @@ type Workload struct {
 }
 
 // Validate reports an error if any parameter is outside its sane range.
-func (w Workload) Validate() error {
+func (w *Workload) Validate() error {
 	switch {
 	case w.Name == "":
 		return fmt.Errorf("workload: empty name")
@@ -148,7 +148,7 @@ func (w Workload) Validate() error {
 
 // SWEfficiency returns the software-scalability derating at n cores:
 // 1 at or below SWScaleCores, then (SWScaleCores/n)^SWScaleExp.
-func (w Workload) SWEfficiency(n int) float64 {
+func (w *Workload) SWEfficiency(n int) float64 {
 	if w.SWScaleCores <= 0 || n <= w.SWScaleCores {
 		return 1
 	}
@@ -156,7 +156,7 @@ func (w Workload) SWEfficiency(n int) float64 {
 }
 
 // EffectiveAPKI returns LLC accesses per kilo-instruction for a core type.
-func (w Workload) EffectiveAPKI(t tech.CoreType) float64 {
+func (w *Workload) EffectiveAPKI(t tech.CoreType) float64 {
 	if t == tech.Conventional {
 		return w.APKI * w.ConvAPKIFactor
 	}
@@ -168,7 +168,7 @@ func (w Workload) EffectiveAPKI(t tech.CoreType) float64 {
 // data contend for the same ways; only the hot fraction is pinned),
 // adjusted for sharing pressure among n cores. The footprint is counted
 // once — it is shared by all cores executing the same binary (4.5.1).
-func (w Workload) DataCapacityMB(llcMB float64, cores int) float64 {
+func (w *Workload) DataCapacityMB(llcMB float64, cores int) float64 {
 	if cores < 1 {
 		cores = 1
 	}
@@ -181,7 +181,7 @@ func (w Workload) DataCapacityMB(llcMB float64, cores int) float64 {
 
 // MemMPKI returns off-chip misses per kilo-instruction for a core of type
 // t given the shared LLC capacity and sharing degree.
-func (w Workload) MemMPKI(t tech.CoreType, llcMB float64, cores int) float64 {
+func (w *Workload) MemMPKI(t tech.CoreType, llcMB float64, cores int) float64 {
 	return w.AccessBreakdown(t, llcMB, cores).MemMPKITotal()
 }
 
@@ -206,7 +206,7 @@ func (a Accesses) MemMPKITotal() float64 { return a.IMissMPKI + a.DMissMPKI }
 
 // AccessBreakdown computes the hit/miss decomposition for a core of type
 // t sharing an LLC of llcMB megabytes with cores peers.
-func (w Workload) AccessBreakdown(t tech.CoreType, llcMB float64, cores int) Accesses {
+func (w *Workload) AccessBreakdown(t tech.CoreType, llcMB float64, cores int) Accesses {
 	apki := w.EffectiveAPKI(t)
 	iAPKI := apki * w.IFetchFrac
 	dAPKI := apki - iAPKI
@@ -227,7 +227,7 @@ func (w Workload) AccessBreakdown(t tech.CoreType, llcMB float64, cores int) Acc
 
 // LLCHitAPKI returns the LLC accesses per kilo-instruction that hit
 // on-chip for a core of type t.
-func (w Workload) LLCHitAPKI(t tech.CoreType, llcMB float64, cores int) float64 {
+func (w *Workload) LLCHitAPKI(t tech.CoreType, llcMB float64, cores int) float64 {
 	h := w.EffectiveAPKI(t) - w.MemMPKI(t, llcMB, cores)
 	if h < 0 {
 		h = 0
@@ -237,15 +237,28 @@ func (w Workload) LLCHitAPKI(t tech.CoreType, llcMB float64, cores int) float64 
 
 // OffChipGBs returns the average off-chip traffic in GB/s generated by n
 // cores of type t each committing ipc application instructions per cycle.
-func (w Workload) OffChipGBs(t tech.CoreType, llcMB float64, cores int, ipc float64) float64 {
-	mpki := w.MemMPKI(t, llcMB, cores)
-	linesPerInstr := mpki / 1000 * (1 + w.WritebackFrac)
-	instrPerSec := ipc * tech.ClockGHz * 1e9 * float64(cores)
-	return instrPerSec * linesPerInstr * tech.CacheLineBytes / 1e9
+func (w *Workload) OffChipGBs(t tech.CoreType, llcMB float64, cores int, ipc float64) float64 {
+	return w.trafficGBs(w.MemMPKI(t, llcMB, cores), cores, ipc)
 }
 
 // PeakOffChipGBs is OffChipGBs scaled by the worst-case burst factor used
 // for channel provisioning.
-func (w Workload) PeakOffChipGBs(t tech.CoreType, llcMB float64, cores int, ipc float64) float64 {
-	return w.OffChipGBs(t, llcMB, cores, ipc) * w.BWBurstFactor
+func (w *Workload) PeakOffChipGBs(t tech.CoreType, llcMB float64, cores int, ipc float64) float64 {
+	return w.PeakGBsFrom(w.AccessBreakdown(t, llcMB, cores), cores, ipc)
+}
+
+// PeakGBsFrom is PeakOffChipGBs from an access breakdown the caller has
+// already computed for the same core type, LLC capacity and core count,
+// so one breakdown serves both a design's IPC and its demand.
+func (w *Workload) PeakGBsFrom(acc Accesses, cores int, ipc float64) float64 {
+	return w.trafficGBs(acc.MemMPKITotal(), cores, ipc) * w.BWBurstFactor
+}
+
+// trafficGBs converts off-chip misses per kilo-instruction into GB/s for
+// cores cores each committing ipc instructions per cycle, counting the
+// dirty writebacks the misses cause.
+func (w *Workload) trafficGBs(mpki float64, cores int, ipc float64) float64 {
+	linesPerInstr := mpki / 1000 * (1 + w.WritebackFrac)
+	instrPerSec := ipc * tech.ClockGHz * 1e9 * float64(cores)
+	return instrPerSec * linesPerInstr * tech.CacheLineBytes / 1e9
 }
