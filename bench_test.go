@@ -22,6 +22,7 @@ import (
 	"scaleout/internal/noc"
 	"scaleout/internal/stack3d"
 	"scaleout/internal/stats"
+	"scaleout/internal/store"
 	"scaleout/internal/tco"
 	"scaleout/internal/tech"
 	"scaleout/internal/tier"
@@ -79,14 +80,19 @@ func BenchmarkTable6_2(b *testing.B) { benchExperiment(b, "table6.2") }
 // uses a fresh engine (fresh memo), so the numbers measure real
 // simulation work; the Serial/Parallel pair tracks the speedup from the
 // concurrent sweep runner, and the Parallel/ExactTier pair the speedup
-// from serving anchored points in exact tier mode.
+// from serving calibrated points from the result store in exact tier
+// mode.
 
 // benchRunAll regenerates every figure per iteration on a fresh engine
-// of the given size, through ev when it is non-nil.
-func benchRunAll(b *testing.B, workers int, ev *tier.Evaluator) {
+// of the given size, over st and through ev when they are non-nil.
+func benchRunAll(b *testing.B, workers int, st *store.Store, ev *tier.Evaluator) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		ctx := exp.WithEngine(context.Background(), exp.New(workers))
+		eng := exp.New(workers)
+		if st != nil {
+			eng.SetStore(st)
+		}
+		ctx := exp.WithEngine(context.Background(), eng)
 		if ev != nil {
 			ctx = exp.WithTier(ctx, ev)
 		}
@@ -96,16 +102,23 @@ func benchRunAll(b *testing.B, workers int, ev *tier.Evaluator) {
 	}
 }
 
-func BenchmarkRunAllSerial(b *testing.B)   { benchRunAll(b, 1, nil) }
-func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0, nil) }
+func BenchmarkRunAllSerial(b *testing.B)   { benchRunAll(b, 1, nil, nil) }
+func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0, nil, nil) }
 
 // BenchmarkRunAllExactTier is BenchmarkRunAllParallel in exact tier
-// mode, against a calibration that anchored the whole figure suite.
-// Calibrating — the one-off cost the tier amortizes — happens before
-// the timer starts. CI requires RunAllParallel/RunAllExactTier to stay
-// above 1.3.
+// mode, on a result store that a calibration run over the whole figure
+// suite filled: each iteration's fresh engine serves every point from
+// disk. Calibrating — the one-off cost the store amortizes — happens
+// before the timer starts. CI requires RunAllParallel/RunAllExactTier
+// to stay above 1.3.
 func BenchmarkRunAllExactTier(b *testing.B) {
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
 	cal, err := tier.Calibrate(context.Background(), tier.Options{
+		Store: st,
 		Suites: func(ctx context.Context) error {
 			_, err := figures.RunAllContext(ctx)
 			return err
@@ -115,7 +128,7 @@ func BenchmarkRunAllExactTier(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	benchRunAll(b, 0, tier.New(cal, tier.Exact))
+	benchRunAll(b, 0, st, tier.New(cal, tier.Exact))
 }
 
 // Substrate microbenchmarks. The kernel pairs (event vs lock-step

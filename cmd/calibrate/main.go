@@ -8,22 +8,29 @@
 //	                                 cross-checks) on the parallel engine
 //	calibrate -out calibration.json  measure the analytic surrogate's
 //	                                 error against both simulators over a
-//	                                 grid, record every simulated point as
-//	                                 an anchor, and write the calibration
-//	                                 the tiered evaluator loads
-//	                                 (internal/tier, soproc -calibration,
-//	                                 soprocd -calibration)
+//	                                 grid and the figure suite, and write
+//	                                 the per-region error table the tiered
+//	                                 evaluator loads (internal/tier,
+//	                                 soproc -calibration, soprocd
+//	                                 -calibration)
+//	calibrate -out c.json -store     ... running on the .sostore/ result
+//	                                 store (-store-dir relocates it):
+//	                                 stored points are not re-simulated,
+//	                                 and every simulated point is written
+//	                                 through, so a later soproc -all -store
+//	                                 serves the whole suite from disk
 //	calibrate -out c.json -cores 16 -llc 4 -nets crossbar -figures=false
-//	                                 small grid, no figure-suite anchors
+//	                                 small grid, figure suite not sampled
 //	calibrate -regions 2             coarser error regions (1 = kind/core,
 //	                                 2 = +net, 3 = +cores/LLC buckets)
 //
 // The harness grid is workloads x -cores x -llc x -nets on both the
 // statistical and the structural simulator; -figures (default true)
-// additionally replays the full figure suite under a recording engine
-// so every figure point becomes an anchor — after which tiered exact
-// regeneration (soproc -all -tier exact) serves the whole suite from
-// the calibration file, byte-identical, without re-simulating.
+// additionally replays the full figure suite, so every figure point
+// contributes an error sample. The summary lists each region's samples
+// and errors, then how many regions of each simulator kind certify —
+// their maximum relative error is at most 0.5 — and so may answer
+// from the surrogate in fast tier mode.
 package main
 
 import (
@@ -47,9 +54,9 @@ func main() {
 	coresList := flag.String("cores", "16,32,64", "comma-separated core counts for the calibration grid (with -out)")
 	llcList := flag.String("llc", "2,4,8", "comma-separated LLC sizes in MB for the calibration grid (with -out)")
 	netsList := flag.String("nets", "crossbar,mesh", "comma-separated interconnects for the calibration grid (with -out)")
-	withFigures := flag.Bool("figures", true, "record the full figure suite as anchors (with -out)")
+	withFigures := flag.Bool("figures", true, "sample the full figure suite too (with -out)")
 	parallel := flag.Int("parallel", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-	useStore := flag.Bool("store", false, "round-trip anchors through the persistent result store in -store-dir: stored points anchor without re-simulating, simulated points are written through (with -out)")
+	useStore := flag.Bool("store", false, "calibrate on the persistent result store in -store-dir: stored points are not re-simulated, and simulated points are written through for later -store runs (with -out)")
 	storeDir := flag.String("store-dir", store.DefaultDir, "persistent result store directory (with -store)")
 	flag.Parse()
 
@@ -108,14 +115,30 @@ func runHarness(out string, regions int, safety float64, coresList, llcList, net
 	if err := cal.Save(out); err != nil {
 		return err
 	}
-	fmt.Printf("calibrate: %d regions, %d sim anchors, %d structural anchors -> %s\n",
-		len(cal.Regions), len(cal.SimAnchors), len(cal.StructuralAnchors), out)
+	fmt.Printf("calibrate: %d regions -> %s\n", len(cal.Regions), out)
+	regionCount := map[string]int{}
+	certified := map[string]int{}
 	for _, r := range cal.Regions {
 		fmt.Printf("  %-40s samples %4d  max %6.3f  mean %6.3f\n",
 			r.Key, r.Samples, r.MaxRelErr, r.MeanRelErr)
+		kind, _, _ := strings.Cut(r.Key, "/")
+		regionCount[kind]++
+		if r.Samples > 0 && r.MaxRelErr <= certifiable {
+			certified[kind]++
+		}
+	}
+	for _, kind := range []string{"sim", "structural"} {
+		fmt.Printf("calibrate: %s: %d of %d regions certify (max rel err <= %g)\n",
+			kind, certified[kind], regionCount[kind], certifiable)
 	}
 	return nil
 }
+
+// certifiable is the tiered evaluator's certification bound: a region
+// whose worst observed relative error exceeds it never answers from
+// the surrogate (internal/tier; TestCertifiableMatchesTier holds the
+// two together).
+const certifiable = 0.5
 
 func parseInts(s string) ([]int, error) {
 	var out []int

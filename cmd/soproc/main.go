@@ -21,13 +21,17 @@
 //	                             the log; -stats-json dumps the engine
 //	                             and store counters for scripting
 //	soproc -all -tier exact -calibration cal.json
-//	                             tiered regeneration: anchors recorded by
-//	                             cmd/calibrate serve matching points without
-//	                             re-simulating; output stays byte-identical
+//	                             tiered regeneration in exact mode: every
+//	                             point takes the engine's memo, store,
+//	                             cluster and simulator path, so output
+//	                             stays byte-identical. After calibrate
+//	                             -out cal.json -store, adding -store
+//	                             serves the whole suite from disk
 //	soproc -all -tier fast -calibration cal.json
-//	                             ... additionally serve certified interior
-//	                             points from the analytic surrogate
-//	                             (approximate, explicitly opted in)
+//	                             ... serve certified interior points from
+//	                             the analytic surrogate instead, even
+//	                             when the store holds them (approximate,
+//	                             explicitly opted in)
 //	soproc -all -trace-level decisions -trace-out trace.jsonl
 //	                             stream one JSON line per engine decision
 //	                             (memo hit, store hit, remote, simulated,
@@ -76,7 +80,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort if regeneration exceeds this duration (0 = none)")
 	verbose := flag.Bool("v", false, "report engine statistics on stderr")
 	peers := flag.String("peers", "", "comma-separated soprocd replicas (host:port) to shard simulator points across")
-	tierName := flag.String("tier", "off", "tiered evaluation: off | exact (anchor-served, byte-identical) | fast (surrogate for certified interior points)")
+	tierName := flag.String("tier", "off", "tiered evaluation: off | exact (genuine simulator results, byte-identical) | fast (surrogate for certified interior points)")
 	calPath := flag.String("calibration", "", "calibration.json from cmd/calibrate (with -tier)")
 	useStore := flag.Bool("store", false, "persist simulator results in -store-dir; a later run serves matching points from disk instead of re-simulating")
 	storeDir := flag.String("store-dir", store.DefaultDir, "persistent result store directory (with -store)")
@@ -199,8 +203,8 @@ func main() {
 		}
 		if ev != nil {
 			ts := ev.Stats()
-			fmt.Fprintf(os.Stderr, "soproc: tier: %d scored, %d anchor hits, %d surrogate, %d escalated (rate %.3f)\n",
-				ts.Scored, ts.AnchorHits, ts.SurrogateServed, ts.Escalated, ts.EscalationRate)
+			fmt.Fprintf(os.Stderr, "soproc: tier: %d scored, %d surrogate, %d escalated (rate %.3f)\n",
+				ts.Scored, ts.SurrogateServed, ts.Escalated, ts.EscalationRate)
 		}
 		if coord != nil {
 			cs := coord.Stats()

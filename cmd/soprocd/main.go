@@ -12,10 +12,11 @@
 //	soprocd -drain 1m                graceful-shutdown drain window
 //	soprocd -peers host:a,host:b     coordinate: shard sweep points across
 //	                                 those soprocd replicas by fingerprint
-//	soprocd -calibration cal.json    load a cmd/calibrate error-bounding
-//	                                 run: anchors serve matching points
-//	                                 exactly, certified regions enable
-//	                                 tier:"fast" sweep requests
+//	soprocd -calibration cal.json    load a cmd/calibrate error table:
+//	                                 its certified regions enable
+//	                                 tier:"fast" sweep requests (exact
+//	                                 requests read only the memo and,
+//	                                 with -store, the result store)
 //	soprocd -store                   persist results in the .sostore/ log
 //	                                 (-store-dir relocates it): a restart
 //	                                 re-warms its shard from disk before
@@ -109,7 +110,7 @@ func main() {
 	memoCap := flag.Int("memo-cap", 16384, "max resident memo entries (0 = unbounded)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window for in-flight requests")
 	peers := flag.String("peers", "", "comma-separated soprocd replicas (host:port) to shard sweep points across; empty = single node")
-	calPath := flag.String("calibration", "", "calibration.json from cmd/calibrate: anchors plus certified error regions for tiered evaluation")
+	calPath := flag.String("calibration", "", "calibration.json from cmd/calibrate: certified error regions for tier:\"fast\" sweeps")
 	useStore := flag.Bool("store", false, "persist simulator results in -store-dir; a restarted daemon re-warms from the log before taking traffic")
 	storeDir := flag.String("store-dir", store.DefaultDir, "persistent result store directory (with -store)")
 	rate := flag.Float64("rate", 0, "per-client admission rate in requests/sec (0 = unlimited)")
@@ -150,8 +151,7 @@ func main() {
 			log.Fatalf("soprocd: %v", err)
 		}
 		srv.SetTier(tier.New(cal, tier.Exact))
-		log.Printf("soprocd: calibration %s: %d regions, %d anchors",
-			*calPath, len(cal.Regions), len(cal.SimAnchors)+len(cal.StructuralAnchors))
+		log.Printf("soprocd: calibration %s: %d regions", *calPath, len(cal.Regions))
 	}
 	if *peers != "" {
 		coord, err := cluster.New(strings.Split(*peers, ","))

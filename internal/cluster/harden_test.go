@@ -163,22 +163,45 @@ func TestReplicaBusyHonored(t *testing.T) {
 func TestPostTimeoutFailsOver(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	hung := startReplica(t, func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/sweep" {
-				<-release // hold the request until the test ends
-				return
-			}
-			h.ServeHTTP(w, r)
+	// Which replica hangs is chosen once the ports are known: rendezvous
+	// ranks depend on the replica addresses, so a fixed choice could
+	// leave the hung replica owning none of the keys, and nothing would
+	// time out.
+	var hangs atomic.Int32
+	hangs.Store(-1)
+	reps := make([]*testReplica, 2)
+	for i := range reps {
+		i := int32(i)
+		reps[i] = startReplica(t, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/sweep" && hangs.Load() == i {
+					<-release // hold the request until the test ends
+					return
+				}
+				h.ServeHTTP(w, r)
+			})
 		})
-	})
-	healthy := startReplica(t, nil)
-	coord, err := New([]string{hung.addr(), healthy.addr()}, WithBatchWindow(0),
+	}
+	coord, err := New([]string{reps[0].addr(), reps[1].addr()}, WithBatchWindow(0),
 		WithRetries(0), WithPostTimeout(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgs := testConfigs(8)
+	// Hang the owner of the first key, so at least one point must time
+	// out and fail over.
+	hungIdx := 0
+	if coord.rank(cfgs[0].Key())[0].addr != reps[0].addr() {
+		hungIdx = 1
+	}
+	hung, healthy := reps[hungIdx], reps[1-hungIdx]
+	hangs.Store(int32(hungIdx))
+	// Warm the healthy replica: its answers are then memo hits, well
+	// inside the post timeout even on a loaded host, so only the hung
+	// replica can be charged a timeout.
+	if _, err := exp.Sims(exp.WithEngine(context.Background(), healthy.eng), cfgs); err != nil {
+		t.Fatal(err)
+	}
 	eng := exp.New(4)
 	eng.SetRoute(coord.Route)
 	got, err := exp.Sims(exp.WithEngine(context.Background(), eng), cfgs)

@@ -18,10 +18,9 @@ type Decision struct {
 	// Source tells what resolved the point: "memo" (served from the
 	// memo, including waits on an in-flight duplicate), "store"
 	// (persistent tier hit), "remote" (computed by the installed
-	// Route), "simulated" (computed on the local pool), "seeded"
-	// (published via Seed by the shape-batched structural path), or
-	// "evicted" (the entry was discarded under capacity pressure — not
-	// a resolution, but a choice that makes a later recomputation).
+	// Route), "simulated" (computed on the local pool), or "evicted"
+	// (the entry was discarded under capacity pressure — not a
+	// resolution, but a choice that makes a later recomputation).
 	Source string
 	// Replica, Rank and Retries describe a "remote" resolution, filled
 	// by the router through the RouteInfo it finds on the request

@@ -48,8 +48,9 @@ func TestDecisionHookSources(t *testing.T) {
 	if _, err := e.Do(ctx, "k1", compute); err != nil { // memo hit
 		t.Fatal(err)
 	}
-	if !e.Seed("k2", "seeded") {
-		t.Fatal("Seed declined")
+	e.SetStore(hitStore{key: "k2"})
+	if _, err := e.Do(ctx, "k2", compute); err != nil { // store hit
+		t.Fatal(err)
 	}
 	// Third key on a capacity-2 memo evicts the LRU entry.
 	if _, err := e.Do(ctx, "k3", compute); err != nil {
@@ -63,8 +64,8 @@ func TestDecisionHookSources(t *testing.T) {
 	if hits := rec.bySource("memo"); len(hits) != 1 || hits[0].Key != "k1" {
 		t.Errorf("memo decisions = %+v", hits)
 	}
-	if seeded := rec.bySource("seeded"); len(seeded) != 1 || seeded[0].Key != "k2" {
-		t.Errorf("seeded decisions = %+v", seeded)
+	if stored := rec.bySource("store"); len(stored) != 1 || stored[0].Key != "k2" {
+		t.Errorf("store decisions = %+v", stored)
 	}
 	if ev := rec.bySource("evicted"); len(ev) != 1 {
 		t.Errorf("evicted decisions = %+v", ev)

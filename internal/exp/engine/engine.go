@@ -115,16 +115,6 @@ func routingDisabled(ctx context.Context) bool {
 	return on
 }
 
-// RoutingDisabled reports whether DisableRouting marked ctx. The tiered
-// evaluator (internal/tier) uses it together with HasRoute to decide
-// whether escalated points should go through the routable per-point
-// path (so a cluster coordinator can ship them to replicas) or the
-// local shape-batched path.
-func RoutingDisabled(ctx context.Context) bool { return routingDisabled(ctx) }
-
-// HasRoute reports whether a router is installed (SetRoute).
-func (e *Engine) HasRoute() bool { return e.route.Load() != nil }
-
 // Store is the engine's optional persistent second memo tier
 // (internal/store implements it over an append-only log). Load returns
 // the stored value for a memo key; Save records a freshly computed
@@ -136,7 +126,7 @@ func (e *Engine) HasRoute() bool { return e.route.Load() != nil }
 // routed or computed — a hit completes the key's single-flight entry
 // without holding a worker slot and counts as a store hit, never a miss,
 // so "points simulated" stays truthful — and every successful
-// computation (local, routed, or seeded) is written through with Save.
+// computation (local or routed) is written through with Save.
 // Like a Route, a Store can never change a result, only whether it is
 // recomputed.
 type Store interface {
@@ -682,101 +672,6 @@ func (e *Engine) lruRemoveLocked(ent *memoEntry) {
 	}
 	ent.prev, ent.next = nil, nil
 	ent.inLRU = false
-}
-
-// Cached returns the memoized value for key if a computation for it has
-// already completed successfully, without waiting: an in-flight key, a
-// failed key, or an absent key all report ok=false. A successful lookup
-// counts as a memo hit and refreshes the entry's LRU position on a
-// bounded engine. Cached deliberately does not join an in-flight
-// computation — callers that want single-flight semantics use Do; this
-// is the peek the tiered evaluator takes before deciding to batch
-// escalated points itself.
-func (e *Engine) Cached(key string) (any, bool) {
-	if key == "" {
-		return nil, false
-	}
-	e.mu.Lock()
-	ent, ok := e.memo[key]
-	if !ok {
-		e.mu.Unlock()
-		// The memory tier has nothing; probe the persistent store. A
-		// disk hit installs as a resident completed entry — no miss is
-		// counted, the point was never simulated — so later Do calls
-		// for the key are memo hits.
-		val, found := e.storeLoad(key)
-		if !found {
-			return nil, false
-		}
-		e.mu.Lock()
-		if _, raced := e.memo[key]; !raced {
-			e.installLocked(key, val)
-		}
-		e.mu.Unlock()
-		return val, true
-	}
-	select {
-	case <-ent.done:
-	default: // in flight: do not wait
-		e.mu.Unlock()
-		return nil, false
-	}
-	if ent.err != nil {
-		e.mu.Unlock()
-		return nil, false
-	}
-	e.touchLocked(ent)
-	val := ent.val
-	e.mu.Unlock()
-	e.hits.Add(1)
-	return val, true
-}
-
-// Seed inserts a completed (key, val) pair into the memo, as if a Do
-// for key had just computed val, and reports whether the insert
-// happened: a key that is already resident or in flight is left
-// untouched (the existing computation wins). The tiered evaluator uses
-// Seed to publish results it computed through the shape-batched
-// structural path, so later Do calls for the same key — from a figure
-// generator or an HTTP sweep — are memo hits instead of recomputations.
-// The pair must obey the same contract as Do: val must be the value the
-// key's computation would produce.
-func (e *Engine) Seed(key string, val any) bool {
-	if key == "" {
-		return false
-	}
-	e.mu.Lock()
-	if _, ok := e.memo[key]; ok {
-		e.mu.Unlock()
-		return false
-	}
-	// A seeded insert is a computation entering the memo, exactly like a
-	// Do miss — count it as one, so "points simulated" stays truthful
-	// whichever path ran the simulator.
-	e.misses.Add(1)
-	e.installLocked(key, val)
-	e.mu.Unlock()
-	e.storeSave(key, val)
-	if hook := e.loadDecisionHook(); hook != nil {
-		(*hook)(Decision{Key: key, Source: "seeded"})
-	}
-	return true
-}
-
-// installLocked inserts a completed memo entry for key without touching
-// the miss counter — the shared tail of Seed (which counts its insert as
-// a miss, since the caller ran the simulator) and the disk-hit paths
-// (which must not: a stored result was computed in an earlier life).
-// The caller holds e.mu and has verified key is absent.
-func (e *Engine) installLocked(key string, val any) {
-	closed := make(chan struct{})
-	close(closed)
-	ent := &memoEntry{key: key, done: closed, val: val}
-	e.memo[key] = ent
-	if e.capacity > 0 {
-		e.lruPushFrontLocked(ent)
-		e.trimLocked()
-	}
 }
 
 // IsCancellation reports whether err is a context cancellation or

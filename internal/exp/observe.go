@@ -19,7 +19,7 @@ var PointLatencyBuckets = []float64{
 // writes.
 func RegisterEngineMetrics(reg *metrics.Registry, eng *Engine) {
 	reg.CounterFunc("soproc_engine_points_total",
-		"points computed by this engine's local worker pool (memo misses, including seeded structural batches)",
+		"points computed by this engine's local worker pool (memo misses)",
 		func() float64 { return float64(eng.Stats().Misses) })
 	reg.CounterFunc("soproc_engine_memo_hits_total",
 		"points served from the in-memory memo, including waits on in-flight duplicates",

@@ -7,19 +7,21 @@ import (
 )
 
 // Tier is a tiered evaluator for simulator batches: an implementation
-// (internal/tier) may answer points from calibration anchors or — when
-// the caller opted into its fast mode — from the calibrated analytic
-// surrogate, escalating only the points whose answer could change a
-// decision to the real simulators. Sims and Structurals consult the
-// context's Tier (WithTier) before fanning points out, so every figure
-// generator and sweep in the repository becomes tier-aware without
-// changing its code.
+// (internal/tier) may answer points — when the caller opted into its
+// fast mode — from the calibrated analytic surrogate, escalating only
+// the points whose answer could change a decision to the engine. Sims
+// and Structurals consult the context's Tier (WithTier) before fanning
+// points out, so every figure generator and sweep in the repository
+// becomes tier-aware without changing its code. A Tier can also
+// observe a sweep without changing it: the calibration harness
+// installs one that samples the surrogate's error on every point.
 //
 // The contract mirrors Sims/Structurals: results in input order, first
 // error aborts the batch. An implementation escalates through
 // Points/SimPoint/StructuralPoint (never back through Sims/Structurals,
 // which would recurse), so escalated points keep the engine's memo,
-// single-flight, and cluster routing semantics.
+// store, single-flight, and cluster routing semantics. Persistent
+// results belong to the engine's store, not to a Tier.
 type Tier interface {
 	// Sims evaluates statistical-simulator configurations.
 	Sims(ctx context.Context, cfgs []sim.Config) ([]sim.Result, error)

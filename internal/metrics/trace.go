@@ -23,9 +23,8 @@ type Decision struct {
 	// engine memo key), stable across replicas for one configuration.
 	Key string `json:"key"`
 	// Source tells how the point was resolved: "memo", "store",
-	// "remote", "simulated", "seeded", "evicted" (engine paths), or
-	// "anchor", "surrogate" (tiered evaluator, point never reached the
-	// engine).
+	// "remote", "simulated", "evicted" (engine paths), or "surrogate"
+	// (tiered evaluator in fast mode, point never reached the engine).
 	Source string `json:"source"`
 	// Replica is the replica address that computed a "remote" point.
 	Replica string `json:"replica,omitempty"`

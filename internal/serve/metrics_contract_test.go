@@ -37,10 +37,8 @@ var statszTwin = map[string]string{
 	"uptime_seconds":  "soproc_server_uptime_seconds",
 
 	"tier.scored":           "soproc_tier_scored_points_total",
-	"tier.anchor_hits":      "soproc_tier_anchor_hits_total",
 	"tier.surrogate_served": "soproc_tier_surrogate_served_total",
 	"tier.escalated":        "soproc_tier_escalated_points_total",
-	"tier.anchors":          "soproc_tier_anchors",
 	"tier.regions":          "soproc_tier_regions",
 
 	"store.loaded":      "soproc_store_loaded_records_total",

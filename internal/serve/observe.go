@@ -52,20 +52,14 @@ func (s *Server) EnableObservability(o ObservabilityOptions) *Observability {
 	// Tier families read through s.tier at scrape time, so a later
 	// SetTier (soprocd -calibration) is reflected without re-wiring.
 	reg.CounterFunc("soproc_tier_scored_points_total",
-		"points seen by the tiered evaluator (all surrogate-scored first)",
+		"points seen by the tiered evaluator",
 		func() float64 { return float64(s.tier.Stats().Scored) })
-	reg.CounterFunc("soproc_tier_anchor_hits_total",
-		"points served from the calibration anchor store",
-		func() float64 { return float64(s.tier.Stats().AnchorHits) })
 	reg.CounterFunc("soproc_tier_surrogate_served_total",
 		"points served from the analytic surrogate in fast mode",
 		func() float64 { return float64(s.tier.Stats().SurrogateServed) })
 	reg.CounterFunc("soproc_tier_escalated_points_total",
-		"points escalated to the simulators",
+		"points escalated to the engine: memo, store, replicas or simulators",
 		func() float64 { return float64(s.tier.Stats().Escalated) })
-	reg.GaugeFunc("soproc_tier_anchors",
-		"calibration anchors loaded",
-		func() float64 { return float64(s.tier.Stats().Anchors) })
 	reg.GaugeFunc("soproc_tier_regions",
 		"certified calibration regions loaded",
 		func() float64 { return float64(s.tier.Stats().Regions) })
@@ -83,9 +77,9 @@ func (s *Server) EnableObservability(o ObservabilityOptions) *Observability {
 }
 
 // installTierHook points the current evaluator's decision hook at the
-// trace ring, recording anchor- and surrogate-served points — which
-// never reach the engine — next to the engine's own records. SetTier
-// re-installs it on the replacement evaluator.
+// trace ring, recording surrogate-served points — which never reach
+// the engine — next to the engine's own records. SetTier re-installs
+// it on the replacement evaluator.
 func (s *Server) installTierHook() {
 	if s.obs == nil || s.obs.Trace == nil {
 		return

@@ -77,9 +77,9 @@ type Server struct {
 	start time.Time
 
 	// tier is the tiered evaluator every sweep and experiment runs
-	// through. New installs an uncalibrated evaluator (exact mode, no
-	// anchors — behaviour and output identical to direct simulation);
-	// SetTier swaps in a calibrated one (soprocd -calibration).
+	// through. New installs an uncalibrated evaluator (exact mode —
+	// behaviour and output identical to direct simulation); SetTier
+	// swaps in a calibrated one (soprocd -calibration).
 	tier *tier.Evaluator
 
 	// obs, if set (EnableObservability), is the live instrumentation
@@ -262,8 +262,9 @@ func (s *Server) handleExp(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Experiments always run through the tiered evaluator in exact mode:
-	// every value is a genuine simulator result (anchor-served or
-	// escalated), so the body stays byte-identical to the CLI's.
+	// every value is a genuine simulator result (from the memo, the
+	// store, a replica or the simulator), so the body stays
+	// byte-identical to the CLI's.
 	ctx := exp.WithTier(tier.WithMode(exp.WithEngine(r.Context(), s.eng), tier.Exact), s.tier)
 	var tables []figures.Table
 	if id == "all" {
@@ -351,11 +352,11 @@ type SweepPoint struct {
 
 // SweepRequest is the /v1/sweep body. Tier selects the evaluation
 // tier: "exact" (the default, also the empty string) answers every
-// point with a genuine simulator result — from the calibration anchor
-// store when the fingerprint matches, otherwise simulated — while
-// "fast" additionally serves calibration-certified interior points from
-// the analytic surrogate, tagged source:"surrogate" in the result.
-// Unknown tier names are rejected with 400.
+// point with a genuine simulator result — from the memo or the
+// persistent store when the fingerprint is there, otherwise simulated —
+// while "fast" serves calibration-certified interior points from the
+// analytic surrogate, tagged source:"surrogate" in the result. Unknown
+// tier names are rejected with 400.
 type SweepRequest struct {
 	Tier   string       `json:"tier,omitempty"`
 	Points []SweepPoint `json:"points"`
@@ -425,8 +426,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Group the points by simulator kind: each group is one batch
-	// through the tiered evaluator, which scores every point on the
-	// surrogate and escalates only what the tier mode requires.
+	// through the tiered evaluator, which in fast mode serves certified
+	// points from the surrogate and escalates the rest to the engine.
 	kinds := make([]string, len(req.Points))
 	var simIdx []int
 	var simCfgs []sim.Config

@@ -26,9 +26,8 @@ import (
 // key covers exactly the fields the wire form carries, and the form
 // byte keeps an invalid configuration's key apart from every valid one.
 //
-// The layout is persistent: the result store (internal/store) and the
-// tier's calibration anchors are keyed by it, so any change to it turns
-// every store cold. The golden probe keys in key_test.go pin it.
+// The layout is persistent: the result store (internal/store) is keyed
+// by it, so any change to it turns every store cold. The golden probe keys in key_test.go pin it.
 
 // configKey derives the memo key of a configuration's wire fields.
 // canonical says whether w was laid out from a valid, defaults-applied

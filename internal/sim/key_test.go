@@ -265,7 +265,7 @@ func TestKeyInvalid(t *testing.T) {
 }
 
 // TestKeyGolden pins two probe keys. The key layout is a persistent
-// format — the result store and calibration anchors are keyed by it —
+// format — the result store is keyed by it —
 // so an accidental encoding change, which would turn every user's store
 // cold, must fail here. Change these strings only on purpose, and say
 // so in the change log.

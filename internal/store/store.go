@@ -10,11 +10,10 @@
 // A Store implements engine.Store and installs on an engine with
 // Engine.SetStore as a read-through/write-through second tier beneath
 // the bounded in-memory memo: a memo miss probes the store before the
-// point is routed or computed, and every successful computation (local,
-// routed, or seeded by the tiered evaluator's batch path) is appended.
-// Because the value written is the result's JSON wire form — the same
-// encoding the /v1/sweep API and the calibration anchor files use, and
-// Go round-trips float64 through JSON exactly — a disk-served figure is
+// point is routed or computed, and every successful computation (local
+// or routed) is appended. Because the value written is the result's
+// JSON wire form — the same encoding the /v1/sweep API uses, and Go
+// round-trips float64 through JSON exactly — a disk-served figure is
 // byte-identical to a freshly simulated one.
 //
 // # On-disk format

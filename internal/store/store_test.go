@@ -389,31 +389,31 @@ func TestEngineEvictionFallsBackToDisk(t *testing.T) {
 	}
 }
 
-// TestCachedProbesDisk: the tiered evaluator's non-waiting peek must
-// see stored results, so a warm store short-circuits its batch path.
-func TestCachedProbesDisk(t *testing.T) {
+// TestStoreHitInstallsInMemo: a memo miss the store answers is served
+// without computing or counting a miss, and installs the value in the
+// memo, so the next request is a memo hit that reads no disk.
+func TestStoreHitInstallsInMemo(t *testing.T) {
 	s := open(t, t.TempDir())
 	s.Save("k", structVal(3))
 	eng := engine.New(1)
 	eng.SetStore(s)
 
-	got, ok := eng.Cached("k")
-	if !ok || got != any(structVal(3)) {
-		t.Fatalf("Cached from disk: got %#v ok=%v", got, ok)
+	compute := func() (any, error) {
+		t.Error("computed a stored key")
+		return nil, nil
+	}
+	for i := 0; i < 2; i++ {
+		got, err := eng.Do(context.Background(), "k", compute)
+		if err != nil || got != any(structVal(3)) {
+			t.Fatalf("request %d: got %#v, %v", i, got, err)
+		}
 	}
 	st := eng.Stats()
-	if st.Misses != 0 {
-		t.Fatalf("Misses = %d after disk-served Cached, want 0", st.Misses)
+	if st.Misses != 0 || st.StoreHits != 1 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want 0 misses, 1 store hit, then 1 memo hit", st)
 	}
-	if st.StoreHits != 1 {
-		t.Fatalf("StoreHits = %d, want 1", st.StoreHits)
-	}
-	// The probe installed the entry: a second peek is a pure memo hit.
-	if _, ok := eng.Cached("k"); !ok {
-		t.Fatal("second Cached missed")
-	}
-	if st := eng.Stats(); st.StoreHits != 1 {
-		t.Fatalf("StoreHits = %d after second Cached, want still 1", st.StoreHits)
+	if ss := s.Stats(); ss.DiskHits != 1 {
+		t.Fatalf("disk hits = %d, want 1", ss.DiskHits)
 	}
 }
 

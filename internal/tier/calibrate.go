@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"scaleout/internal/analytic"
@@ -17,8 +18,7 @@ import (
 
 // Options parameterizes a calibration run. The grid axes sample the
 // (workload, core count, LLC, NoC) space; every grid point runs on both
-// simulators and both surrogates, contributing an error sample to its
-// region and a result to the anchor store.
+// simulators, and each contributes its surrogate error to its region.
 type Options struct {
 	// Workloads defaults to the full calibrated suite.
 	Workloads []workload.Workload
@@ -36,19 +36,18 @@ type Options struct {
 	// Workers sizes the calibration engine's pool (0 = GOMAXPROCS).
 	Workers int
 
-	// Store, when set, round-trips the calibration through the
-	// persistent result store: grid and suite points already on disk
-	// are recorded as anchors without re-simulating, and every point
-	// the harness does simulate is written through, so later -store
-	// runs (and re-calibrations) serve them from disk.
+	// Store, when set, is the calibration engine's persistent result
+	// store: points already on disk are sampled without re-simulating,
+	// and every point the harness does simulate is written through, so
+	// later -store runs (and re-calibrations) serve them from disk.
 	Store engine.Store
 
-	// Suites, when set, runs under a recording engine after the grid:
+	// Suites, when set, runs under the recording tier after the grid:
 	// every sim/structural point it evaluates (through the experiment
-	// layer) is recorded as an anchor and an error sample. Pass a
-	// closure over figures.RunAllContext to anchor the entire figure
-	// suite — the recording costs one full regeneration, and afterwards
-	// exact-tier regeneration serves those points without simulating.
+	// layer) contributes an error sample. Pass a closure over
+	// figures.RunAllContext to sample the entire figure suite; with a
+	// Store, that run also leaves every figure point on disk, so a
+	// later -store regeneration serves the suite without simulating.
 	Suites func(ctx context.Context) error
 }
 
@@ -73,95 +72,31 @@ func (o *Options) defaults() {
 	}
 }
 
-// recorded is one calibration observation: a canonical configuration
-// and the genuine simulator result computed for it.
-type recorded struct {
-	key string
-	cfg any // sim.Config or sim.StructuralConfig, as routed
-	val any
-}
-
-// Calibrate runs the error-bounding harness: the grid (and optional
-// recorded suites) on a parallel, memoizing engine, both tiers per
-// point, folded into the per-region error table plus the anchor store.
-// The run itself pays full simulator cost; everything after it rides on
-// the result.
+// Calibrate runs the error-bounding harness: the grid, then the
+// optional suites, on a fresh parallel engine whose store is
+// opts.Store, under a recording tier that samples the surrogate's
+// error on each distinct point. The samples fold, in key order, into
+// the per-region error table, so the result does not depend on
+// scheduling. The run pays full simulator cost for every point the
+// store does not already hold.
 func Calibrate(ctx context.Context, opts Options) (*Calibration, error) {
 	opts.defaults()
-
-	// The recording engine: a Route observes every sim/structural point
-	// (the experiment layer offers routable payloads on each memo miss),
-	// computes it locally under a worker-sized semaphore, and records
-	// the (key, config, result) triple. Single-flight memoization means
-	// each distinct key is recorded exactly once.
 	eng := exp.New(opts.Workers)
-	var mu sync.Mutex
-	var recs []recorded
-	sem := make(chan struct{}, eng.Workers())
-	eng.SetRoute(func(rctx context.Context, key string, payload any) (any, bool, error) {
-		// Points arrive as their wire form (sim.WireConfig, the one
-		// representation the routing layer speaks); decode back to the
-		// configuration being simulated. Raw configs are accepted too
-		// for callers that route them directly.
-		switch p := payload.(type) {
-		case sim.WireConfig:
-			cfg, err := p.Decode()
-			if err != nil {
-				return nil, false, nil
-			}
-			payload = cfg
-		case sim.Config, sim.StructuralConfig:
-		default:
-			return nil, false, nil
-		}
-		// A stored result is a genuine simulator result from an earlier
-		// life: record it as an anchor without paying for the simulator
-		// again — calibration anchors round-trip through the store.
-		if opts.Store != nil {
-			if val, ok := opts.Store.Load(key); ok {
-				mu.Lock()
-				recs = append(recs, recorded{key: key, cfg: payload, val: val})
-				mu.Unlock()
-				return val, true, nil
-			}
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-rctx.Done():
-			return nil, true, rctx.Err()
-		}
-		defer func() { <-sem }()
-		var val any
-		var err error
-		switch cfg := payload.(type) {
-		case sim.Config:
-			val, err = sim.Run(cfg)
-		case sim.StructuralConfig:
-			val, err = sim.RunStructural(cfg)
-		}
-		if err != nil {
-			return nil, true, err
-		}
-		if opts.Store != nil {
-			opts.Store.Save(key, val)
-		}
-		mu.Lock()
-		recs = append(recs, recorded{key: key, cfg: payload, val: val})
-		mu.Unlock()
-		return val, true, nil
-	})
-
-	// Never calibrate through an inherited tier: the observations must
+	if opts.Store != nil {
+		eng.SetStore(opts.Store)
+	}
+	rec := &recorder{granularity: opts.Granularity, samples: map[string]errSample{}}
+	// The recorder replaces any inherited tier: the observations must
 	// be the simulators' own.
-	rctx := exp.WithTier(exp.WithEngine(ctx, eng), nil)
+	rctx := exp.WithTier(exp.WithEngine(ctx, eng), rec)
 
 	var simCfgs []sim.Config
 	var structCfgs []sim.StructuralConfig
 	for _, w := range opts.Workloads {
 		for _, cores := range opts.Cores {
 			for _, llc := range opts.LLCMB {
-				for _, kind := range opts.Nets {
-					net := noc.New(kind, cores)
+				for _, netKind := range opts.Nets {
+					net := noc.New(netKind, cores)
 					simCfgs = append(simCfgs, sim.Config{
 						Workload: w, CoreType: tech.OoO, Cores: cores, LLCMB: llc, Net: net,
 					})
@@ -183,64 +118,96 @@ func Calibrate(ctx context.Context, opts Options) (*Calibration, error) {
 			return nil, fmt.Errorf("tier: calibration suites: %w", err)
 		}
 	}
+	return rec.calibration(opts.Safety), nil
+}
 
-	// Fold the observations into the region table and anchor store.
-	type acc struct {
-		samples int
-		maxErr  float64
-		sumErr  float64
+// recorder is the exp.Tier Calibrate runs under. It resolves each batch
+// through exp.Points on the calibration engine, then samples the
+// surrogate's relative AppIPC error on every point, once per distinct
+// key: a repeated point must not weigh twice in its region.
+type recorder struct {
+	granularity int
+
+	mu      sync.Mutex
+	samples map[string]errSample // by point key
+}
+
+// errSample is one point's surrogate error and the region it falls in.
+type errSample struct {
+	region string
+	relErr float64
+}
+
+// Sims implements exp.Tier.
+func (r *recorder) Sims(ctx context.Context, cfgs []sim.Config) ([]sim.Result, error) {
+	return record(ctx, r, simKind, cfgs)
+}
+
+// Structurals implements exp.Tier.
+func (r *recorder) Structurals(ctx context.Context, cfgs []sim.StructuralConfig) ([]sim.StructuralResult, error) {
+	return record(ctx, r, structuralKind, cfgs)
+}
+
+// record is recorder.Sims for either simulator.
+func record[R any, C config[R, C]](ctx context.Context, r *recorder, k kind[R, C], cfgs []C) ([]R, error) {
+	pts := make([]exp.Point[R], len(cfgs))
+	for i, c := range cfgs {
+		pts[i] = exp.SimulatorPoint[R, C]{Config: c}
 	}
-	regions := map[string]*acc{}
-	sample := func(regionKey string, predicted, actual float64) {
-		a := regions[regionKey]
-		if a == nil {
-			a = &acc{}
-			regions[regionKey] = a
+	res, err := exp.Points(ctx, exp.FromContext(ctx), pts)
+	if err != nil {
+		return nil, err
+	}
+	samples := make(map[string]errSample, len(cfgs))
+	for i, c := range cfgs {
+		cc, err := c.Canonical()
+		if err != nil {
+			return nil, err
 		}
+		predicted := analytic.Surrogate(k.spec(cc)).AppIPC
+		actual := k.appIPC(res[i])
 		relErr := math.Inf(1)
 		if actual != 0 {
 			relErr = math.Abs(predicted-actual) / math.Abs(actual)
 		}
-		a.samples++
-		a.sumErr += relErr
-		if relErr > a.maxErr {
-			a.maxErr = relErr
-		}
+		samples[c.Key()] = errSample{region: k.region(r.granularity, cc), relErr: relErr}
 	}
+	r.mu.Lock()
+	for key, s := range samples {
+		r.samples[key] = s
+	}
+	r.mu.Unlock()
+	return res, nil
+}
 
-	cal := &Calibration{Granularity: opts.Granularity, Safety: opts.Safety}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, r := range recs {
-		switch cfg := r.cfg.(type) {
-		case sim.Config:
-			cc, err := cfg.Canonical()
-			if err != nil {
-				continue
-			}
-			est := analytic.Surrogate(simSpec(cc))
-			res := r.val.(sim.Result)
-			sample(simRegionKey(opts.Granularity, cc), est.AppIPC, res.AppIPC)
-			cal.SimAnchors = append(cal.SimAnchors, SimAnchor{Key: r.key, Result: res})
-		case sim.StructuralConfig:
-			cc, err := cfg.Canonical()
-			if err != nil {
-				continue
-			}
-			est := analytic.Surrogate(structuralSpec(cc))
-			res := r.val.(sim.StructuralResult)
-			sample(structuralRegionKey(opts.Granularity, cc), est.AppIPC, res.AppIPC)
-			cal.StructuralAnchors = append(cal.StructuralAnchors, StructuralAnchor{Key: r.key, Result: res})
+// calibration folds the samples into the region table in key order.
+func (r *recorder) calibration(safety float64) *Calibration {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	keys := make([]string, 0, len(r.samples))
+	for key := range r.samples {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	regions := map[string]*Region{}
+	for _, key := range keys {
+		s := r.samples[key]
+		reg := regions[s.region]
+		if reg == nil {
+			reg = &Region{Key: s.region}
+			regions[s.region] = reg
+		}
+		reg.Samples++
+		reg.MeanRelErr += s.relErr // the sum until every sample is in
+		if s.relErr > reg.MaxRelErr {
+			reg.MaxRelErr = s.relErr
 		}
 	}
-	for key, a := range regions {
-		cal.Regions = append(cal.Regions, Region{
-			Key:        key,
-			Samples:    a.samples,
-			MaxRelErr:  a.maxErr,
-			MeanRelErr: a.sumErr / float64(a.samples),
-		})
+	cal := &Calibration{Granularity: r.granularity, Safety: safety}
+	for _, reg := range regions {
+		reg.MeanRelErr /= float64(reg.Samples)
+		cal.Regions = append(cal.Regions, *reg)
 	}
 	cal.normalize()
-	return cal, nil
+	return cal
 }

@@ -12,13 +12,11 @@ import (
 )
 
 // Calibration is what cmd/calibrate emits (calibration.json) and the
-// tiered evaluator loads: a per-region error table that sizes the
-// escalation bands, plus the anchor store — genuine simulator results,
-// keyed by the same canonical fingerprints the experiment engine
-// memoizes under, that exact-tier evaluation serves without
-// re-simulating. Anchors round-trip through JSON exactly (Go prints
-// float64 in the shortest form that re-parses to the same value), so an
-// anchor-served figure is byte-identical to a freshly simulated one.
+// tiered evaluator loads: the per-region error table that sizes the
+// escalation bands. It holds no simulator results; those belong to the
+// persistent result store, which cmd/calibrate -store fills. A file
+// written before the results moved there still loads: its
+// sim_anchors and structural_anchors arrays are ignored.
 type Calibration struct {
 	// Granularity selects how finely the design space is partitioned
 	// into error regions; see RegionKey. Evaluator lookups must use the
@@ -33,11 +31,6 @@ type Calibration struct {
 
 	// Regions is the certified error table, sorted by key.
 	Regions []Region `json:"regions"`
-
-	// SimAnchors and StructuralAnchors are the memoized simulator
-	// results from the calibration run, sorted by key.
-	SimAnchors        []SimAnchor        `json:"sim_anchors,omitempty"`
-	StructuralAnchors []StructuralAnchor `json:"structural_anchors,omitempty"`
 }
 
 // Region is the measured surrogate error over one slice of the design
@@ -53,22 +46,6 @@ type Region struct {
 	// region's samples. MaxRelErr (times Safety) is the certified band.
 	MaxRelErr  float64 `json:"max_rel_err"`
 	MeanRelErr float64 `json:"mean_rel_err"`
-}
-
-// SimAnchor is one memoized statistical-simulator result.
-type SimAnchor struct {
-	// Key is the configuration's canonical memo fingerprint (sim.Config.Key).
-	Key string `json:"key"`
-	// Result is the simulator's measurement for that configuration.
-	Result sim.Result `json:"result"`
-}
-
-// StructuralAnchor is one memoized structural-simulator result.
-type StructuralAnchor struct {
-	// Key is the canonical fingerprint (sim.StructuralConfig.Key).
-	Key string `json:"key"`
-	// Result is the structural simulator's measurement.
-	Result sim.StructuralResult `json:"result"`
 }
 
 // DefaultSafety is the band margin applied when a Calibration (or
@@ -140,8 +117,8 @@ func structuralRegionKey(g int, cc sim.StructuralConfig) string {
 	return RegionKey(g, "structural", cc.CoreType, cc.Net.Kind, cc.Cores, cc.LLCMB)
 }
 
-// normalize applies defaults and sorts the table and anchors so the
-// serialized form is deterministic.
+// normalize applies defaults and sorts the table so the serialized
+// form is deterministic.
 func (c *Calibration) normalize() {
 	if c.Granularity <= 0 {
 		c.Granularity = DefaultGranularity
@@ -150,10 +127,6 @@ func (c *Calibration) normalize() {
 		c.Safety = DefaultSafety
 	}
 	sort.Slice(c.Regions, func(i, j int) bool { return c.Regions[i].Key < c.Regions[j].Key })
-	sort.Slice(c.SimAnchors, func(i, j int) bool { return c.SimAnchors[i].Key < c.SimAnchors[j].Key })
-	sort.Slice(c.StructuralAnchors, func(i, j int) bool {
-		return c.StructuralAnchors[i].Key < c.StructuralAnchors[j].Key
-	})
 }
 
 // Save writes the calibration as indented JSON to path.

@@ -12,15 +12,16 @@ import (
 	"scaleout/internal/figures"
 	"scaleout/internal/noc"
 	"scaleout/internal/sim"
+	"scaleout/internal/store"
 	"scaleout/internal/tech"
 	"scaleout/internal/workload"
 )
 
 // The certification headline: figure suites regenerated through the
-// exact tier — against a calibration that recorded them, saved to disk,
-// and loaded back — are byte-identical to direct simulation. The JSON
-// round trip is part of the claim: anchors must survive serialization
-// bit-exactly.
+// exact tier are byte-identical to direct simulation, and a calibration
+// run on a result store leaves every point it sampled there, so a fresh
+// engine on the reopened store regenerates the suites without
+// simulating anything.
 func TestTieredExactFiguresByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates figure suites twice")
@@ -42,9 +43,15 @@ func TestTieredExactFiguresByteIdentical(t *testing.T) {
 
 	direct := render(exp.WithEngine(context.Background(), exp.New(0)))
 
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cal, err := Calibrate(context.Background(), Options{
 		// A minimal grid plus the three suites under the recorder.
 		Cores: []int{16}, LLCMB: []float64{4}, Nets: []noc.Kind{noc.Crossbar},
+		Store: st,
 		Suites: func(ctx context.Context) error {
 			for _, id := range suites {
 				if _, err := figures.RunContext(ctx, id); err != nil {
@@ -57,6 +64,9 @@ func TestTieredExactFiguresByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "cal.json")
 	if err := cal.Save(path); err != nil {
 		t.Fatal(err)
@@ -66,18 +76,20 @@ func TestTieredExactFiguresByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ev := New(loaded, Exact)
+	st, err = store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	eng := exp.New(0)
+	eng.SetStore(st)
+	ev := New(loaded, Exact)
 	tiered := render(exp.WithTier(exp.WithEngine(context.Background(), eng), ev))
 	if tiered != direct {
 		t.Fatal("tiered exact regeneration differs from direct simulation")
 	}
-	st := ev.Stats()
-	if st.AnchorHits == 0 {
-		t.Errorf("tiered regeneration hit no anchors: %+v", st)
-	}
-	if es := eng.Stats(); es.Misses != 0 {
-		t.Errorf("tiered regeneration simulated %d points despite full anchor coverage", es.Misses)
+	if es := eng.Stats(); es.Misses != 0 || es.StoreHits == 0 {
+		t.Errorf("tiered regeneration on the calibration store: %+v, want 0 misses and store hits", es)
 	}
 }
 

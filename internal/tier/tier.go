@@ -4,24 +4,22 @@
 // simulator (up to ~100ms/point) — arranged as one speed hierarchy
 // behind the experiment layer's batch API.
 //
-// Every sweep point is first scored by the analytic surrogate
-// (analytic.Surrogate). What happens next depends on the tier mode:
+// What happens to a batch depends on the tier mode:
 //
-//   - Exact (the default): every returned value is a genuine simulator
-//     result. Points whose canonical fingerprint matches a calibration
-//     anchor are served from the anchor store (simulator results
-//     recorded by cmd/calibrate; JSON round-trips float64 exactly, so
-//     anchor-served figures are byte-identical to fresh simulation);
-//     everything else escalates to the simulator. Escalated structural
-//     points batch through one shape-keyed pooled machine per group
-//     (sim.RunStructuralBatch) when running locally, or route like
-//     ordinary structural points when the engine has a cluster router.
+//   - Exact (the default): every point escalates through exp.Points,
+//     the engine's plain memo → store → route → simulate path, so every
+//     returned value is a genuine simulator result. Repeated points are
+//     served by the engine's memo and, on an engine with a persistent
+//     store, by the results an earlier run (soproc -store, or
+//     cmd/calibrate -store) wrote there.
 //
-//   - Fast (explicit opt-in): points in regions the calibration
-//     certifies, and not within their error band of the caller's
-//     decision boundary (Decision), are answered from the surrogate and
-//     tagged Source="surrogate"; boundary points, uncertified regions,
-//     and anchor misses under a decision all escalate exactly as above.
+//   - Fast (explicit opt-in): a batch holding a point in a region the
+//     calibration certifies is scored by the analytic surrogate
+//     (analytic.Surrogate). Certified points not within their error
+//     band of the caller's decision boundary (Decision) are answered
+//     from the surrogate and tagged Source="surrogate", even when the
+//     store holds them; boundary points and uncertified regions
+//     escalate exactly as above.
 //
 // The certification contract: in fast mode a surrogate-served value is
 // wrong by at most the region's calibrated MaxRelErr × Safety, and any
@@ -39,7 +37,6 @@ import (
 
 	"scaleout/internal/analytic"
 	"scaleout/internal/exp"
-	"scaleout/internal/exp/engine"
 	"scaleout/internal/sim"
 )
 
@@ -47,9 +44,9 @@ import (
 type Mode int
 
 const (
-	// Exact returns genuine simulator results for every point,
-	// accelerating only through anchors and batched escalation. It is
-	// the default everywhere (the /v1/sweep tier field, soproc -tier).
+	// Exact returns genuine simulator results for every point, through
+	// the engine's memo, store, router and simulators. It is the
+	// default everywhere (the /v1/sweep tier field, soproc -tier).
 	Exact Mode = iota
 	// Fast serves certified interior points from the surrogate, tagged
 	// Source="surrogate". Callers opt in explicitly.
@@ -102,28 +99,23 @@ type Evaluator struct {
 	mode        Mode
 	safety      float64
 	granularity int
-
-	regions       map[string]Region
-	simAnchors    map[string]sim.Result
-	structAnchors map[string]sim.StructuralResult
+	regions     map[string]Region
 
 	scored          atomic.Int64
-	anchorHits      atomic.Int64
 	surrogateServed atomic.Int64
 	escalated       atomic.Int64
 
 	// decision, when set (SetDecisionHook), observes every point the
-	// evaluator answers without touching the engine: anchor-store hits
-	// and surrogate-served points. Escalated points reach the engine
-	// and are observed there.
+	// evaluator answers without touching the engine: the surrogate-
+	// served points. Escalated points reach the engine and are
+	// observed there.
 	decision atomic.Pointer[DecisionHook]
 }
 
 // DecisionHook receives one record per point the evaluator served
 // itself, with the point's canonical key and the serving tier as
-// source: "anchor" (calibration anchor store) or "surrogate" (analytic
-// model, fast mode). Hooks must be fast and non-blocking; they run
-// synchronously on the evaluation path.
+// source: "surrogate" (analytic model, fast mode). Hooks must be fast
+// and non-blocking; they run synchronously on the evaluation path.
 type DecisionHook func(key, source string)
 
 // SetDecisionHook installs fn as the evaluator's decision observer; a
@@ -136,24 +128,15 @@ func (ev *Evaluator) SetDecisionHook(fn DecisionHook) {
 	ev.decision.Store(&fn)
 }
 
-// emitDecision reports one self-served point to the installed hook.
-func (ev *Evaluator) emitDecision(key, source string) {
-	if hook := ev.decision.Load(); hook != nil {
-		(*hook)(key, source)
-	}
-}
-
 // New builds an evaluator from a calibration (nil means uncalibrated:
-// no anchors, no certified regions, so every point escalates and exact
-// mode degenerates to plain simulation) with the given default mode.
+// no certified regions, so every point escalates in either mode) with
+// the given default mode.
 func New(c *Calibration, mode Mode) *Evaluator {
 	ev := &Evaluator{
-		mode:          mode,
-		safety:        DefaultSafety,
-		granularity:   DefaultGranularity,
-		regions:       map[string]Region{},
-		simAnchors:    map[string]sim.Result{},
-		structAnchors: map[string]sim.StructuralResult{},
+		mode:        mode,
+		safety:      DefaultSafety,
+		granularity: DefaultGranularity,
+		regions:     map[string]Region{},
 	}
 	if c != nil {
 		c.normalize()
@@ -162,12 +145,6 @@ func New(c *Calibration, mode Mode) *Evaluator {
 		for _, r := range c.Regions {
 			ev.regions[r.Key] = r
 		}
-		for _, a := range c.SimAnchors {
-			ev.simAnchors[a.Key] = a.Result
-		}
-		for _, a := range c.StructuralAnchors {
-			ev.structAnchors[a.Key] = a.Result
-		}
 	}
 	return ev
 }
@@ -175,18 +152,15 @@ func New(c *Calibration, mode Mode) *Evaluator {
 // Stats is a snapshot of the evaluator's per-tier point counters; the
 // JSON field names are the /statsz tier section's wire format.
 type Stats struct {
-	// Scored counts every point the evaluator saw (all are surrogate-
-	// scored first). AnchorHits were served from the calibration anchor
-	// store, SurrogateServed from the surrogate in fast mode, and
-	// Escalated went to the simulators.
+	// Scored counts every point the evaluator saw. SurrogateServed were
+	// answered by the surrogate in fast mode, and Escalated went to the
+	// engine: memo, store, router or simulator.
 	Scored          int64 `json:"scored"`
-	AnchorHits      int64 `json:"anchor_hits"`
 	SurrogateServed int64 `json:"surrogate_served"`
 	Escalated       int64 `json:"escalated"`
 	// EscalationRate is Escalated/Scored (0 when nothing was scored).
 	EscalationRate float64 `json:"escalation_rate"`
-	// Anchors and Regions describe the loaded calibration.
-	Anchors int `json:"anchors"`
+	// Regions counts the loaded calibration's error regions.
 	Regions int `json:"regions"`
 }
 
@@ -194,28 +168,14 @@ type Stats struct {
 func (ev *Evaluator) Stats() Stats {
 	s := Stats{
 		Scored:          ev.scored.Load(),
-		AnchorHits:      ev.anchorHits.Load(),
 		SurrogateServed: ev.surrogateServed.Load(),
 		Escalated:       ev.escalated.Load(),
-		Anchors:         len(ev.simAnchors) + len(ev.structAnchors),
 		Regions:         len(ev.regions),
 	}
 	if s.Scored > 0 {
 		s.EscalationRate = float64(s.Escalated) / float64(s.Scored)
 	}
 	return s
-}
-
-// band returns the certified escalation band half-width around a
-// surrogate score: the region's worst observed relative error, times
-// the safety margin, times the score's magnitude. An unknown or
-// uncertifiable region returns +Inf — its points always escalate.
-func (ev *Evaluator) band(regionKey string, score float64) float64 {
-	r, ok := ev.regions[regionKey]
-	if !ok || r.Samples == 0 || r.MaxRelErr > maxCertifiableRelErr {
-		return math.Inf(1)
-	}
-	return r.MaxRelErr * ev.safety * math.Abs(score)
 }
 
 // certified reports whether the calibration certifies regionKey: its
@@ -226,27 +186,50 @@ func (ev *Evaluator) certified(regionKey string) bool {
 	return ok && r.Samples > 0 && r.MaxRelErr <= maxCertifiableRelErr
 }
 
-// fullEscalation reports whether every point of a batch must escalate
-// regardless of what the surrogate would say: no point matches an
-// anchor, and either the mode is exact (anchors are the only
-// non-simulator source) or no point falls in a certified region. When
-// it holds, per-point surrogate scoring is pure overhead — the batch
-// goes straight to batched simulation, so a tiered sweep the
-// calibration cannot serve (escalation rate 1.0) costs the same as
-// -tier exact instead of running slower than it. anchored and
-// certifiedAt report, per point index, an anchor match and a certified
-// region.
-func fullEscalation(mode Mode, n int, anchored, certifiedAt func(i int) bool) bool {
-	for i := 0; i < n; i++ {
-		if anchored(i) {
-			return false
-		}
-		if mode == Fast && certifiedAt(i) {
-			return false
-		}
+// band returns the certified escalation band half-width around a
+// surrogate score: the region's worst observed relative error, times
+// the safety margin, times the score's magnitude. An unknown or
+// uncertifiable region returns +Inf — its points always escalate.
+func (ev *Evaluator) band(regionKey string, score float64) float64 {
+	if !ev.certified(regionKey) {
+		return math.Inf(1)
 	}
-	return true
+	return ev.regions[regionKey].MaxRelErr * ev.safety * math.Abs(score)
 }
+
+// config is a simulator configuration the evaluator can escalate
+// (exp.SimulatorConfig) and canonicalize: sim.Config or
+// sim.StructuralConfig.
+type config[R, C any] interface {
+	exp.SimulatorConfig[R]
+	Canonical() (C, error)
+}
+
+// kind adapts one simulator's configuration and result types to the
+// surrogate: the error region and surrogate input of a canonical
+// configuration, an estimate shaped as the simulator's result, and the
+// AppIPC a result is scored on.
+type kind[R, C any] struct {
+	region func(granularity int, cc C) string
+	spec   func(cc C) analytic.SurrogateSpec
+	result func(analytic.Estimate) R
+	appIPC func(R) float64
+}
+
+var (
+	simKind = kind[sim.Result, sim.Config]{
+		region: simRegionKey,
+		spec:   simSpec,
+		result: surrogateSimResult,
+		appIPC: func(r sim.Result) float64 { return r.AppIPC },
+	}
+	structuralKind = kind[sim.StructuralResult, sim.StructuralConfig]{
+		region: structuralRegionKey,
+		spec:   structuralSpec,
+		result: surrogateStructuralResult,
+		appIPC: func(r sim.StructuralResult) float64 { return r.AppIPC },
+	}
+)
 
 // simSpec maps a canonical statistical configuration onto the
 // surrogate's input.
@@ -307,216 +290,101 @@ func (ev *Evaluator) Structurals(ctx context.Context, cfgs []sim.StructuralConfi
 }
 
 // SimsDecided evaluates a statistical batch under a decision boundary
-// and additionally reports which points escalated (were within their
-// band of the boundary, in an uncertified region, or — in exact mode —
-// simply not anchored). A nil decision means the sweep feeds no
-// boundary: in fast mode every certified point is then surrogate-
-// served; in exact mode the decision is irrelevant to results.
+// and also reports which points escalated: in fast mode, those within
+// their band of the boundary or in an uncertified region; in exact
+// mode, every point. A nil decision means the sweep feeds no boundary:
+// in fast mode every certified point is then surrogate-served; in
+// exact mode the decision is irrelevant to results.
 func (ev *Evaluator) SimsDecided(ctx context.Context, cfgs []sim.Config, d Decision) ([]sim.Result, []bool, error) {
-	n := len(cfgs)
-	out := make([]sim.Result, n)
-	keys := make([]string, n)
-	ccs := make([]sim.Config, n)
-	for i, c := range cfgs {
-		cc, err := c.Canonical()
-		if err != nil {
-			return nil, nil, err
-		}
-		ccs[i] = cc
-		keys[i] = c.Key()
-	}
-	ev.scored.Add(int64(n))
-	mode := modeFrom(ctx, ev.mode)
-
-	var boundary []bool
-	var escalate []int
-	if fullEscalation(mode, n,
-		func(i int) bool { _, ok := ev.simAnchors[keys[i]]; return ok },
-		func(i int) bool { return ev.certified(simRegionKey(ev.granularity, ccs[i])) },
-	) {
-		// Nothing in the batch is servable below the simulator: skip
-		// surrogate scoring entirely and escalate everything.
-		boundary = make([]bool, n)
-		escalate = make([]int, n)
-		for i := range cfgs {
-			boundary[i] = true
-			escalate[i] = i
-		}
-	} else {
-		scores := make([]float64, n)
-		bands := make([]float64, n)
-		ests := make([]analytic.Estimate, n)
-		for i := range cfgs {
-			ests[i] = analytic.Surrogate(simSpec(ccs[i]))
-			scores[i] = ests[i].AppIPC
-			bands[i] = ev.band(simRegionKey(ev.granularity, ccs[i]), scores[i])
-		}
-		boundary = boundarySet(d, scores, bands)
-		for i := range cfgs {
-			if r, ok := ev.simAnchors[keys[i]]; ok {
-				out[i] = r
-				ev.anchorHits.Add(1)
-				ev.emitDecision(keys[i], "anchor")
-				continue
-			}
-			if mode == Fast && !boundary[i] && !math.IsInf(bands[i], 1) {
-				out[i] = surrogateSimResult(ests[i])
-				ev.surrogateServed.Add(1)
-				ev.emitDecision(keys[i], "surrogate")
-				continue
-			}
-			boundary[i] = true // escalated for any reason counts as boundary in the report
-			escalate = append(escalate, i)
-		}
-	}
-	ev.escalated.Add(int64(len(escalate)))
-	if len(escalate) > 0 {
-		eng := exp.FromContext(ctx)
-		pts := make([]exp.Point[sim.Result], len(escalate))
-		for k, i := range escalate {
-			pts[k] = exp.SimPoint{Config: cfgs[i]}
-		}
-		res, err := exp.Points(ctx, eng, pts)
-		if err != nil {
-			return nil, nil, err
-		}
-		for k, i := range escalate {
-			out[i] = res[k]
-		}
-	}
-	return out, boundary, nil
+	return evaluate(ctx, ev, simKind, cfgs, d)
 }
 
 // StructuralsDecided is SimsDecided for the structural simulator.
-// Escalated points route like ordinary structural points when the
-// engine has a cluster router; otherwise they run through the local
-// shape-batched machine path (sim.RunStructuralBatch) and seed the
-// engine's memo, so a later request for the same key is a hit.
 func (ev *Evaluator) StructuralsDecided(ctx context.Context, cfgs []sim.StructuralConfig, d Decision) ([]sim.StructuralResult, []bool, error) {
-	n := len(cfgs)
-	out := make([]sim.StructuralResult, n)
-	keys := make([]string, n)
-	ccs := make([]sim.StructuralConfig, n)
-	for i, c := range cfgs {
-		cc, err := c.Canonical()
+	return evaluate(ctx, ev, structuralKind, cfgs, d)
+}
+
+// evaluate is SimsDecided for either simulator: fast mode serves what
+// the calibration certifies, and every other point escalates through
+// exp.Points on the context's engine, so escalated points keep the
+// engine's memo, store, single-flight and cluster routing.
+func evaluate[R any, C config[R, C]](ctx context.Context, ev *Evaluator, k kind[R, C], cfgs []C, d Decision) ([]R, []bool, error) {
+	ev.scored.Add(int64(len(cfgs)))
+	out := make([]R, len(cfgs))
+	escalated := make([]bool, len(cfgs))
+	for i := range escalated {
+		escalated[i] = true
+	}
+	if modeFrom(ctx, ev.mode) == Fast {
+		if err := serveCertified(ev, k, cfgs, d, out, escalated); err != nil {
+			return nil, nil, err
+		}
+	}
+	var idx []int
+	var pts []exp.Point[R]
+	for i, esc := range escalated {
+		if esc {
+			idx = append(idx, i)
+			pts = append(pts, exp.SimulatorPoint[R, C]{Config: cfgs[i]})
+		}
+	}
+	ev.escalated.Add(int64(len(pts)))
+	if len(pts) > 0 {
+		res, err := exp.Points(ctx, exp.FromContext(ctx), pts)
 		if err != nil {
 			return nil, nil, err
 		}
-		ccs[i] = cc
-		keys[i] = c.Key()
-	}
-	ev.scored.Add(int64(n))
-	mode := modeFrom(ctx, ev.mode)
-
-	var boundary []bool
-	var escalate []int
-	if fullEscalation(mode, n,
-		func(i int) bool { _, ok := ev.structAnchors[keys[i]]; return ok },
-		func(i int) bool { return ev.certified(structuralRegionKey(ev.granularity, ccs[i])) },
-	) {
-		boundary = make([]bool, n)
-		escalate = make([]int, n)
-		for i := range cfgs {
-			boundary[i] = true
-			escalate[i] = i
-		}
-	} else {
-		scores := make([]float64, n)
-		bands := make([]float64, n)
-		ests := make([]analytic.Estimate, n)
-		for i := range cfgs {
-			ests[i] = analytic.Surrogate(structuralSpec(ccs[i]))
-			scores[i] = ests[i].AppIPC
-			bands[i] = ev.band(structuralRegionKey(ev.granularity, ccs[i]), scores[i])
-		}
-		boundary = boundarySet(d, scores, bands)
-		for i := range cfgs {
-			if r, ok := ev.structAnchors[keys[i]]; ok {
-				out[i] = r
-				ev.anchorHits.Add(1)
-				ev.emitDecision(keys[i], "anchor")
-				continue
-			}
-			if mode == Fast && !boundary[i] && !math.IsInf(bands[i], 1) {
-				out[i] = surrogateStructuralResult(ests[i])
-				ev.surrogateServed.Add(1)
-				ev.emitDecision(keys[i], "surrogate")
-				continue
-			}
-			boundary[i] = true
-			escalate = append(escalate, i)
+		for j, i := range idx {
+			out[i] = res[j]
 		}
 	}
-	ev.escalated.Add(int64(len(escalate)))
-	if err := ev.runStructurals(ctx, cfgs, keys, escalate, out); err != nil {
-		return nil, nil, err
-	}
-	return out, boundary, nil
+	return out, escalated, nil
 }
 
-// boundarySet applies the decision, defaulting to "no point is on a
-// boundary" when the sweep feeds none.
-func boundarySet(d Decision, scores, bands []float64) []bool {
-	if d == nil {
-		return make([]bool, len(scores))
-	}
-	return d.Escalate(scores, bands)
-}
-
-// runStructurals computes the escalated structural points. With a live
-// cluster router the points go through the routable per-point path, so
-// a coordinator ships them to the replicas owning their fingerprints —
-// surrogate-answered and anchor-served points never left this process.
-// Locally they batch by machine shape, after a memo peek, and the
-// results seed the memo for later non-tiered callers.
-func (ev *Evaluator) runStructurals(ctx context.Context, cfgs []sim.StructuralConfig, keys []string, escalate []int, out []sim.StructuralResult) error {
-	if len(escalate) == 0 {
-		return nil
-	}
-	eng := exp.FromContext(ctx)
-	if eng.HasRoute() && !engine.RoutingDisabled(ctx) {
-		pts := make([]exp.Point[sim.StructuralResult], len(escalate))
-		for k, i := range escalate {
-			pts[k] = exp.StructuralPoint{Config: cfgs[i]}
-		}
-		res, err := exp.Points(ctx, eng, pts)
+// serveCertified answers from the surrogate each point the calibration
+// certifies and the decision leaves interior, and clears its escalated
+// flag. A batch with no point in a certified region is not scored: the
+// surrogate could serve none of it, so it costs what exact mode does.
+func serveCertified[R any, C config[R, C]](ev *Evaluator, k kind[R, C], cfgs []C, d Decision, out []R, escalated []bool) error {
+	n := len(cfgs)
+	ccs := make([]C, n)
+	regions := make([]string, n)
+	anyCertified := false
+	for i, c := range cfgs {
+		cc, err := c.Canonical()
 		if err != nil {
 			return err
 		}
-		for k, i := range escalate {
-			out[i] = res[k]
-		}
+		ccs[i] = cc
+		regions[i] = k.region(ev.granularity, cc)
+		anyCertified = anyCertified || ev.certified(regions[i])
+	}
+	if !anyCertified {
 		return nil
 	}
-
-	// Local path: serve what the engine already holds, dedup the rest
-	// by fingerprint, and run one shape-batched pass.
-	var miss []int
-	first := map[string]int{} // key -> index into miss batch
-	var batch []sim.StructuralConfig
-	for _, i := range escalate {
-		if v, ok := eng.Cached(keys[i]); ok {
-			out[i] = v.(sim.StructuralResult)
+	ests := make([]analytic.Estimate, n)
+	scores := make([]float64, n)
+	bands := make([]float64, n)
+	for i, cc := range ccs {
+		ests[i] = analytic.Surrogate(k.spec(cc))
+		scores[i] = ests[i].AppIPC
+		bands[i] = ev.band(regions[i], scores[i])
+	}
+	boundary := make([]bool, n)
+	if d != nil {
+		boundary = d.Escalate(scores, bands)
+	}
+	hook := ev.decision.Load()
+	for i := range cfgs {
+		if boundary[i] || math.IsInf(bands[i], 1) {
 			continue
 		}
-		if _, dup := first[keys[i]]; !dup {
-			first[keys[i]] = len(batch)
-			batch = append(batch, cfgs[i])
+		out[i] = k.result(ests[i])
+		escalated[i] = false
+		ev.surrogateServed.Add(1)
+		if hook != nil {
+			(*hook)(cfgs[i].Key(), "surrogate")
 		}
-		miss = append(miss, i)
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	res, err := sim.RunStructuralBatchContext(ctx, batch)
-	if err != nil {
-		return err
-	}
-	for key, k := range first {
-		eng.Seed(key, res[k])
-	}
-	for _, i := range miss {
-		out[i] = res[first[keys[i]]]
 	}
 	return nil
 }

@@ -3,11 +3,14 @@ package tier
 import (
 	"context"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"scaleout/internal/exp"
+	"scaleout/internal/exp/engine"
 	"scaleout/internal/noc"
 	"scaleout/internal/sim"
 	"scaleout/internal/tech"
@@ -184,7 +187,7 @@ func TestExactUncalibratedMatchesDirect(t *testing.T) {
 		}
 	}
 	st := ev.Stats()
-	if st.Scored != 4 || st.Escalated != 4 || st.SurrogateServed != 0 || st.AnchorHits != 0 {
+	if st.Scored != 4 || st.Escalated != 4 || st.SurrogateServed != 0 {
 		t.Errorf("uncalibrated exact stats = %+v, want 4 scored, 4 escalated", st)
 	}
 }
@@ -295,21 +298,20 @@ func TestModeOverride(t *testing.T) {
 	}
 }
 
-// Anchors survive a Save/Load round trip bit-exactly: Go's float64 JSON
-// encoding is the shortest form that re-parses to the same value, which
-// is what makes anchor-served figures byte-identical.
+// The region table survives a Save/Load round trip bit-exactly: Go's
+// float64 JSON encoding is the shortest form that re-parses to the
+// same value. A calibration.json from before the simulator results
+// moved into the result store still loads its regions; its anchor
+// arrays are ignored.
 func TestCalibrationRoundTrip(t *testing.T) {
-	ws := workload.Suite()
-	cfg := sim.Config{Workload: ws[0], CoreType: tech.OoO, Cores: 16, LLCMB: 4}
-	res, err := sim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cal := &Calibration{
-		Regions:    []Region{{Key: "sim/OoO", Samples: 3, MaxRelErr: 0.1 + 0.2, MeanRelErr: math.Pi / 17}},
-		SimAnchors: []SimAnchor{{Key: cfg.Key(), Result: res}},
+		Regions: []Region{
+			{Key: "sim/OoO", Samples: 3, MaxRelErr: 0.1 + 0.2, MeanRelErr: math.Pi / 17},
+			{Key: "structural/OoO", Samples: 2, MaxRelErr: 1.0 / 3, MeanRelErr: math.E / 10},
+		},
 	}
-	path := filepath.Join(t.TempDir(), "cal.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cal.json")
 	if err := cal.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -317,24 +319,99 @@ func TestCalibrationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(loaded.SimAnchors, cal.SimAnchors) {
-		t.Errorf("anchors changed across round trip:\n%+v\n%+v", loaded.SimAnchors, cal.SimAnchors)
-	}
-	if !reflect.DeepEqual(loaded.Regions, cal.Regions) {
-		t.Errorf("regions changed across round trip:\n%+v\n%+v", loaded.Regions, cal.Regions)
+	if !reflect.DeepEqual(loaded, cal) {
+		t.Errorf("calibration changed across round trip:\n%+v\n%+v", loaded, cal)
 	}
 
-	// And the evaluator serves the loaded anchor verbatim.
-	ev := New(loaded, Exact)
-	ctx := exp.WithEngine(context.Background(), exp.New(1))
-	got, err := ev.Sims(ctx, []sim.Config{cfg})
+	old := `{
+  "granularity": 3,
+  "safety": 1.25,
+  "regions": [
+    {"key": "sim/OoO/Crossbar/c9-16/llc<=4", "samples": 7, "max_rel_err": 0.089, "mean_rel_err": 0.037}
+  ],
+  "sim_anchors": [
+    {"key": "sim:00ff", "result": {"AppIPC": 9.5, "PerCoreIPC": 0.59}}
+  ],
+  "structural_anchors": [
+    {"key": "structural:00ff", "result": {"AppIPC": 8.25, "L1IMPKI": 21.5}}
+  ]
+}
+`
+	oldPath := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(oldPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err = Load(oldPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got[0], res) {
-		t.Errorf("anchor-served result %+v != original %+v", got[0], res)
+	want := []Region{{Key: "sim/OoO/Crossbar/c9-16/llc<=4", Samples: 7, MaxRelErr: 0.089, MeanRelErr: 0.037}}
+	if !reflect.DeepEqual(loaded.Regions, want) || loaded.Granularity != 3 || loaded.Safety != 1.25 {
+		t.Errorf("old-format calibration loaded as %+v", loaded)
 	}
-	if st := ev.Stats(); st.AnchorHits != 1 {
-		t.Errorf("anchor hit not counted: %+v", st)
+}
+
+// Exact mode is the engine's plain path, so concurrent batches of one
+// configuration share a single simulation: two concurrent structural
+// batches and a third after them simulate once, and each point is one
+// engine decision.
+func TestExactStructuralsSingleFlight(t *testing.T) {
+	eng := exp.New(2)
+	var mu sync.Mutex
+	var sources []string
+	eng.SetDecisionHook(func(d engine.Decision) {
+		mu.Lock()
+		sources = append(sources, d.Source)
+		mu.Unlock()
+	})
+	ev := New(nil, Exact)
+	ctx := exp.WithEngine(context.Background(), eng)
+	cfgs := []sim.StructuralConfig{{Workload: workload.Suite()[0], CoreType: tech.OoO, Cores: 4, LLCMB: 1}}
+
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = ev.Structurals(ctx, cfgs)
+		}(i)
+	}
+	wg.Wait()
+	_, errs[2] = ev.Structurals(ctx, cfgs)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []string{"simulated", "memo", "memo"}; !reflect.DeepEqual(sources, want) {
+		t.Errorf("decisions = %v, want %v", sources, want)
+	}
+	if st := eng.Stats(); st.Misses != 1 || st.Hits+st.Misses != 3 {
+		t.Errorf("engine stats = %+v, want 1 miss and 3 points resolved", st)
+	}
+}
+
+// Calibration does not depend on scheduling: the error samples fold in
+// key order, so a serial and a parallel run produce the same table,
+// mean errors included.
+func TestCalibrateDeterministic(t *testing.T) {
+	run := func(workers int) *Calibration {
+		cal, err := Calibrate(context.Background(), Options{
+			Cores: []int{16}, LLCMB: []float64{4}, Nets: []noc.Kind{noc.Crossbar}, Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cal
+	}
+	serial, parallel := run(1), run(4)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("calibration depends on workers:\n%+v\n%+v", serial, parallel)
+	}
+	for _, r := range serial.Regions {
+		if r.Samples != len(workload.Suite()) {
+			t.Errorf("region %s has %d samples, want one per workload", r.Key, r.Samples)
+		}
 	}
 }
