@@ -26,7 +26,7 @@ func runChecks(parallel int) error {
 	fmt.Println("== Fig2.1-ish: per-workload conventional IPC (4c,4MB,xbar)")
 	for _, w := range ws {
 		d := analytic.NewDesign(tech.Conventional, 4, 4, noc.Crossbar)
-		fmt.Printf("  %-16s %.2f\n", w.Name, analytic.PerCoreIPC(&w, d))
+		fmt.Printf("  %-16s %.2f\n", w.Name, analytic.Evaluate(&w, d).PerCoreIPC)
 	}
 	fmt.Println("== Catalog 40nm (target PD: conv .026 tiledO .060 llcO .084 IR .086 idealO .101 SO-O .092 | tiledI .099 llcI .131 IRI .145 idealI .167 SO-I .155)")
 	for _, s := range chip.Catalog(tech.N40(), ws) {
@@ -57,8 +57,7 @@ func runChecks(parallel int) error {
 		dO := analytic.NewDesign(tech.OoO, 16, 4, noc.Crossbar)
 		dI := analytic.NewDesign(tech.InOrder, 32, 2, noc.Crossbar)
 		fmt.Printf("  %-16s OoO %.1f  IO %.1f\n", w.Name,
-			w.PeakOffChipGBs(tech.OoO, 4, 16, analytic.PerCoreIPC(&w, dO)),
-			w.PeakOffChipGBs(tech.InOrder, 2, 32, analytic.PerCoreIPC(&w, dI)))
+			analytic.Evaluate(&w, dO).PeakGBs, analytic.Evaluate(&w, dI).PeakGBs)
 	}
 	// pod bw
 	podO := core.Pod{Core: tech.OoO, Cores: 16, LLCMB: 4, Net: noc.Crossbar}
@@ -94,7 +93,7 @@ func simCheck(ctx context.Context, ws []workload.Workload) error {
 		r := res[i]
 		d := analytic.NewDesign(tech.OoO, 16, 4, noc.Crossbar)
 		fmt.Printf("  %-16s sim %.2f  model %.2f  snoop %.1f%% [%.1f]  miss %.3f  bw %.1fGB/s\n",
-			w.Name, r.AppIPC, analytic.ChipIPC(&w, d), r.SnoopRatePct, w.SnoopPct, r.MissRatio(), r.OffChipGBs)
+			w.Name, r.AppIPC, analytic.Evaluate(&w, d).IPC, r.SnoopRatePct, w.SnoopPct, r.MissRatio(), r.OffChipGBs)
 	}
 
 	fmt.Println("== sim 64-core pod: mesh vs fbfly vs nocout (normalized to mesh)")

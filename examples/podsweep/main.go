@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for i, w := range ws {
-		model := analytic.ChipIPC(&w, analytic.NewDesign(tech.OoO, 16, 4, noc.Crossbar))
+		model := analytic.Evaluate(&w, analytic.NewDesign(tech.OoO, 16, 4, noc.Crossbar)).IPC
 		fmt.Printf("  %-16s sim %5.2f  model %5.2f  (%+.1f%%)\n",
 			w.Name, rs[i].AppIPC, model, 100*(rs[i].AppIPC-model)/model)
 	}

@@ -99,10 +99,11 @@ type Perf struct {
 }
 
 // latencies are the design-wide terms of the CPI stack, the same for
-// every workload: the LLC hit and off-chip miss latencies in cycles.
-type latencies struct{ llc, mem float64 }
-
-func (d Design) latencies() latencies { return latencies{d.LLCLatency(), d.MemLatency()} }
+// every workload: an LLC hit, instruction or data, and an off-chip miss.
+func (d Design) latencies() workload.Latencies {
+	llc := d.LLCLatency()
+	return workload.Latencies{IFetch: llc, Data: llc, Mem: d.MemLatency()}
+}
 
 // sharesBreakdown reports whether every workload has the same access
 // breakdown on d and o: the breakdown depends on the core type, core
@@ -111,24 +112,12 @@ func (d Design) sharesBreakdown(o Design) bool {
 	return d.Core == o.Core && d.Cores == o.Cores && d.LLCMB == o.LLCMB
 }
 
-// evaluate predicts w on d from its access breakdown there. The CPI
-// stack of one core is:
-//
-//	CPI = 1/BaseIPC                        issue-limited execution
-//	    + iHit  * Lllc                     I-fetch from LLC, fully exposed
-//	    + dHit  * Lllc * overlap           data from LLC, partly hidden
-//	    + iMiss * Lmem                     I-fetch from memory, exposed
-//	    + dMiss * Lmem / MLP               data from memory, overlapped
-//
-// and the same breakdown's off-chip misses give the demand.
-func evaluate(w *workload.Workload, d Design, acc workload.Accesses, lat latencies) Perf {
-	cpi := 1 / w.BaseIPC[d.Core]
-	cpi += acc.IHitAPKI / 1000 * lat.llc
-	cpi += acc.DHitAPKI / 1000 * lat.llc * w.LLCOverlap[d.Core]
-	cpi += acc.IMissMPKI / 1000 * lat.mem
-	cpi += acc.DMissMPKI / 1000 * lat.mem / w.MLP[d.Core]
-	ipc := 1 / cpi
-	return Perf{IPC: float64(d.Cores) * ipc, PerCoreIPC: ipc, PeakGBs: w.PeakGBsFrom(acc, d.Cores, ipc)}
+// evaluate predicts w on d from its access breakdown there: the CPI
+// stack (workload.CPI) at the workload's calibrated MLP, and the same
+// breakdown's off-chip misses give the demand.
+func evaluate(w *workload.Workload, d Design, acc workload.Accesses, lat workload.Latencies) Perf {
+	ipc := 1 / w.CPI(d.Core, acc, lat, w.MLP.At(d.Core))
+	return Perf{IPC: float64(d.Cores) * ipc, PerCoreIPC: ipc, PeakGBs: w.PeakOffChipGBs(acc, d.Cores, ipc)}
 }
 
 // Evaluate predicts workload w on design d from one access breakdown:
@@ -136,15 +125,6 @@ func evaluate(w *workload.Workload, d Design, acc workload.Accesses, lat latenci
 func Evaluate(w *workload.Workload, d Design) Perf {
 	return evaluate(w, d, w.AccessBreakdown(d.Core, d.LLCMB, d.Cores), d.latencies())
 }
-
-// PerCoreIPC predicts the application IPC of one core of the design
-// running workload w (see Evaluate).
-func PerCoreIPC(w *workload.Workload, d Design) float64 { return Evaluate(w, d).PerCoreIPC }
-
-// ChipIPC predicts the aggregate application instructions per cycle of
-// the whole design: cores times per-core IPC. This is the thesis's
-// "performance" metric (Section 2.4.3).
-func ChipIPC(w *workload.Workload, d Design) float64 { return Evaluate(w, d).IPC }
 
 // suiteSize bounds the suites whose access breakdowns are held on the
 // stack; larger suites spill to the heap.

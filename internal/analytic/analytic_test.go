@@ -52,8 +52,8 @@ func TestIPCBounds(t *testing.T) {
 		kind := kinds[int(ki)%len(kinds)]
 		cores := 1 << (cx % 9) // 1..256
 		llc := 1 + float64(llcX%32)
-		ipc := PerCoreIPC(&w, NewDesign(ct, cores, llc, kind))
-		return ipc > 0 && ipc < w.BaseIPC[ct]
+		ipc := Evaluate(&w, NewDesign(ct, cores, llc, kind)).PerCoreIPC
+		return ipc > 0 && ipc < w.BaseIPC.At(ct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,8 @@ func TestIPCBounds(t *testing.T) {
 func TestChipIPCIsCoresTimesPerCore(t *testing.T) {
 	d := NewDesign(tech.OoO, 32, 8, noc.Mesh)
 	for _, w := range suite() {
-		if got, want := ChipIPC(&w, d), 32*PerCoreIPC(&w, d); math.Abs(got-want) > 1e-12 {
+		p := Evaluate(&w, d)
+		if got, want := p.IPC, 32*p.PerCoreIPC; math.Abs(got-want) > 1e-12 {
 			t.Fatalf("%s: chip %v != 32 x %v", w.Name, got, want)
 		}
 	}
@@ -73,9 +74,9 @@ func TestChipIPCIsCoresTimesPerCore(t *testing.T) {
 // per core; in-order slowest — at identical cache/network conditions.
 func TestCoreTypeOrdering(t *testing.T) {
 	for _, w := range suite() {
-		conv := PerCoreIPC(&w, NewDesign(tech.Conventional, 4, 4, noc.Crossbar))
-		ooo := PerCoreIPC(&w, NewDesign(tech.OoO, 4, 4, noc.Crossbar))
-		io := PerCoreIPC(&w, NewDesign(tech.InOrder, 4, 4, noc.Crossbar))
+		conv := Evaluate(&w, NewDesign(tech.Conventional, 4, 4, noc.Crossbar)).PerCoreIPC
+		ooo := Evaluate(&w, NewDesign(tech.OoO, 4, 4, noc.Crossbar)).PerCoreIPC
+		io := Evaluate(&w, NewDesign(tech.InOrder, 4, 4, noc.Crossbar)).PerCoreIPC
 		if !(conv > ooo && ooo > io) {
 			t.Errorf("%s: ordering conv %v > ooo %v > io %v violated", w.Name, conv, ooo, io)
 		}
@@ -86,8 +87,8 @@ func TestCoreTypeOrdering(t *testing.T) {
 func TestIdealAtLeastCrossbar(t *testing.T) {
 	for _, w := range suite() {
 		for c := 1; c <= 256; c *= 4 {
-			ideal := PerCoreIPC(&w, NewDesign(tech.OoO, c, 4, noc.Ideal))
-			xbar := PerCoreIPC(&w, NewDesign(tech.OoO, c, 4, noc.Crossbar))
+			ideal := Evaluate(&w, NewDesign(tech.OoO, c, 4, noc.Ideal)).PerCoreIPC
+			xbar := Evaluate(&w, NewDesign(tech.OoO, c, 4, noc.Crossbar)).PerCoreIPC
 			if ideal < xbar-1e-12 {
 				t.Errorf("%s at %d cores: ideal %v < crossbar %v", w.Name, c, ideal, xbar)
 			}
@@ -157,7 +158,8 @@ func TestSuiteMeansEmptyAndOrder(t *testing.T) {
 func TestOffChipDemandPositive(t *testing.T) {
 	d := NewDesign(tech.InOrder, 32, 2, noc.Crossbar)
 	for _, w := range suite() {
-		if w.OffChipGBs(d.Core, d.LLCMB, d.Cores, PerCoreIPC(&w, d)) <= 0 {
+		acc := w.AccessBreakdown(d.Core, d.LLCMB, d.Cores)
+		if w.OffChipGBs(acc, d.Cores, Evaluate(&w, d).PerCoreIPC) <= 0 {
 			t.Errorf("%s: non-positive demand", w.Name)
 		}
 	}

@@ -9,30 +9,34 @@ import (
 )
 
 // The reference definitions below are the model written out one
-// quantity at a time — every PerCoreIPC its own access breakdown and
-// latencies, every demand a second breakdown — as the figures computed
-// it before evaluations were fused. The fused entry points must match
-// them bit for bit: the same floating-point operations in the same
-// order, so no figure moves by even one ulp.
+// quantity at a time — every per-core IPC its own access breakdown,
+// latencies and CPI stack, every demand a second breakdown — as the
+// figures computed it before evaluations were fused. The fused entry
+// points must match them bit for bit: the same floating-point
+// operations in the same order, so no figure moves by even one ulp.
 
 func refPerCoreIPC(w workload.Workload, d Design) float64 {
 	acc := w.AccessBreakdown(d.Core, d.LLCMB, d.Cores)
 	lllc := d.LLCLatency()
 	lmem := d.MemLatency()
 
-	cpi := 1 / w.BaseIPC[d.Core]
+	cpi := 1 / w.BaseIPC.At(d.Core)
 	cpi += acc.IHitAPKI / 1000 * lllc
-	cpi += acc.DHitAPKI / 1000 * lllc * w.LLCOverlap[d.Core]
+	cpi += acc.DHitAPKI / 1000 * lllc * w.LLCOverlap.At(d.Core)
 	cpi += acc.IMissMPKI / 1000 * lmem
-	cpi += acc.DMissMPKI / 1000 * lmem / w.MLP[d.Core]
+	cpi += acc.DMissMPKI / 1000 * lmem / w.MLP.At(d.Core)
 	return 1 / cpi
 }
 
-func refPeakDemandGBs(w workload.Workload, d Design, ipc float64) float64 {
-	mpki := w.MemMPKI(d.Core, d.LLCMB, d.Cores)
+func refOffChipGBs(w workload.Workload, d Design, ipc float64) float64 {
+	mpki := w.AccessBreakdown(d.Core, d.LLCMB, d.Cores).MemMPKITotal()
 	linesPerInstr := mpki / 1000 * (1 + w.WritebackFrac)
 	instrPerSec := ipc * tech.ClockGHz * 1e9 * float64(d.Cores)
-	return instrPerSec * linesPerInstr * tech.CacheLineBytes / 1e9 * w.BWBurstFactor
+	return instrPerSec * linesPerInstr * tech.CacheLineBytes / 1e9
+}
+
+func refPeakDemandGBs(w workload.Workload, d Design, ipc float64) float64 {
+	return refOffChipGBs(w, d, ipc) * w.BWBurstFactor
 }
 
 func refSuite(ws []workload.Workload, d Design) Perf {
@@ -108,9 +112,8 @@ func TestEvaluateSuiteMatchesReferenceBitForBit(t *testing.T) {
 				if got := Evaluate(&w, d); got != want {
 					t.Fatalf("Evaluate(%s, %+v) = %+v, reference %+v", w.Name, d, got, want)
 				}
-				if PerCoreIPC(&w, d) != want.PerCoreIPC || ChipIPC(&w, d) != want.IPC ||
-					w.PeakOffChipGBs(d.Core, d.LLCMB, d.Cores, ipc) != want.PeakGBs {
-					t.Fatalf("per-workload accessors of %s on %+v disagree with the reference", w.Name, d)
+				if w.PeakOffChipGBs(w.AccessBreakdown(d.Core, d.LLCMB, d.Cores), d.Cores, ipc) != want.PeakGBs {
+					t.Fatalf("PeakOffChipGBs of %s on %+v disagrees with the reference", w.Name, d)
 				}
 			}
 			designs++

@@ -71,12 +71,10 @@ type SurrogateSpec struct {
 // here first, and only points whose score lands near a decision
 // boundary (within the calibrated error band) pay for the simulator.
 func Surrogate(spec SurrogateSpec) Estimate {
-	w, d := spec.Workload, spec.Design
+	w, d := &spec.Workload, spec.Design
 	acc := w.AccessBreakdown(d.Core, d.LLCMB, d.Cores)
-	lllc := d.LLCLatency()
-	lmem := d.MemLatency()
 
-	mlp := w.MLP[d.Core]
+	mlp := w.MLP.At(d.Core)
 	if spec.MSHRs > 0 && float64(spec.MSHRs) < mlp {
 		// A miss cannot overlap without an MSHR entry to live in: the
 		// effective window is the smaller of the calibrated MLP and the
@@ -84,12 +82,7 @@ func Surrogate(spec SurrogateSpec) Estimate {
 		mlp = float64(spec.MSHRs)
 	}
 
-	cpi := 1 / w.BaseIPC[d.Core]
-	cpi += acc.IHitAPKI / 1000 * lllc
-	cpi += acc.DHitAPKI / 1000 * lllc * w.LLCOverlap[d.Core]
-	cpi += acc.IMissMPKI / 1000 * lmem
-	cpi += acc.DMissMPKI / 1000 * lmem / mlp
-	ipc := 1 / cpi
+	ipc := 1 / w.CPI(d.Core, acc, d.latencies(), mlp)
 	if spec.SWScaling {
 		ipc *= w.SWEfficiency(d.Cores)
 	}
@@ -98,7 +91,7 @@ func Surrogate(spec SurrogateSpec) Estimate {
 	// its memory channels feed it lines. When latency-only IPC demands
 	// more bandwidth than the channels supply, throughput degrades to
 	// the bandwidth-limited rate.
-	demand := w.OffChipGBs(d.Core, d.LLCMB, d.Cores, ipc)
+	demand := w.OffChipGBs(acc, d.Cores, ipc)
 	if spec.MemChannels > 0 {
 		supply := float64(spec.MemChannels) * tech.DDR3UsableGBs
 		if demand > supply {

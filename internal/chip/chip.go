@@ -175,12 +175,13 @@ func (s Spec) irIPC(w *workload.Workload, d analytic.Design) float64 {
 	// R-NUCA serves most instruction fetches from a one-hop replica; the
 	// remainder (replica misses, cold blocks) still cross the full mesh.
 	const replicaHitFrac = 0.85
-	cpi := 1 / w.BaseIPC[s.Core]
-	cpi += accIR.IHitAPKI / 1000 * (replicaHitFrac*iLat + (1-replicaHitFrac)*dIR.LLCLatency())
-	cpi += accIR.DHitAPKI / 1000 * dIR.LLCLatency() * w.LLCOverlap[s.Core]
-	cpi += accIR.IMissMPKI / 1000 * dIR.MemLatency()
-	cpi += accIR.DMissMPKI / 1000 * dIR.MemLatency() / w.MLP[s.Core]
-	return float64(s.Cores) / cpi
+	llc := dIR.LLCLatency()
+	lat := workload.Latencies{
+		IFetch: replicaHitFrac*iLat + (1-replicaHitFrac)*llc,
+		Data:   llc,
+		Mem:    dIR.MemLatency(),
+	}
+	return float64(s.Cores) / w.CPI(s.Core, accIR, lat, w.MLP.At(s.Core))
 }
 
 // IPC returns the suite-mean aggregate IPC that Evaluate recorded: 0

@@ -239,8 +239,8 @@ func TestWorkloadIPCAboveZeroPerWorkload(t *testing.T) {
 			if ipc <= 0 {
 				t.Errorf("%s on %s: IPC %v", s.Name(), w.Name, ipc)
 			}
-			if perCore := ipc / float64(s.Cores); perCore >= w.BaseIPC[s.Core] {
-				t.Errorf("%s on %s: per-core %v exceeds base %v", s.Name(), w.Name, perCore, w.BaseIPC[s.Core])
+			if perCore := ipc / float64(s.Cores); perCore >= w.BaseIPC.At(s.Core) {
+				t.Errorf("%s on %s: per-core %v exceeds base %v", s.Name(), w.Name, perCore, w.BaseIPC.At(s.Core))
 			}
 		}
 	}

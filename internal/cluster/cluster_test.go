@@ -419,37 +419,41 @@ func TestClusterFormerlyUnroutableFiguresByteIdentical(t *testing.T) {
 // markDown — fail over, and still produce the correct result from a
 // compatible replica (or locally when none exists).
 func TestWireVersionRejectIsPermanent(t *testing.T) {
+	// Which replica rejects is chosen once the ports are known: the
+	// owner of the test key, so the reject path runs before failover
+	// reaches the compatible replica. A fixed choice could leave the
+	// rejecting replica owning none of the test keys.
 	var rejects atomic.Int64
-	rejecting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/sweep" {
-			rejects.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			fmt.Fprintf(w, `{"error": "point 0: unsupported wire_version", "wire_version": %d, "supported_wire_version": 99}`, sim.WireVersion)
-			return
-		}
-		http.NotFound(w, r)
-	}))
-	t.Cleanup(rejecting.Close)
-	compatible := startReplica(t, nil)
-
-	coord, err := New([]string{rejecting.URL, compatible.addr()},
+	var rejecting atomic.Int32
+	rejecting.Store(-1)
+	reps := make([]*testReplica, 2)
+	for i := range reps {
+		i := int32(i)
+		reps[i] = startReplica(t, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/sweep" && rejecting.Load() == i {
+					rejects.Add(1)
+					w.Header().Set("Content-Type", "application/json")
+					w.WriteHeader(http.StatusBadRequest)
+					fmt.Fprintf(w, `{"error": "point 0: unsupported wire_version", "wire_version": %d, "supported_wire_version": 99}`, sim.WireVersion)
+					return
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+	}
+	coord, err := New([]string{reps[0].addr(), reps[1].addr()},
 		WithBatchWindow(0), WithRetries(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pick a config the rejecting replica owns, so the reject path runs
-	// before failover reaches the compatible replica.
-	var cfg sim.Config
-	for _, c := range testConfigs(24) {
-		if coord.rank(c.Key())[0].base == rejecting.URL {
-			cfg = c
-			break
-		}
+	cfg := testConfigs(1)[0]
+	rejectIdx := 0
+	if coord.rank(cfg.Key())[0].base != reps[0].addr() {
+		rejectIdx = 1
 	}
-	if cfg.Cores == 0 {
-		t.Fatal("no test config ranks the rejecting replica first")
-	}
+	rejecting.Store(int32(rejectIdx))
+	rejectingAddr := reps[rejectIdx].addr()
 
 	val, handled, err := coord.Route(context.Background(), cfg.Key(), cfg.WirePayload())
 	if err != nil || !handled {
@@ -467,7 +471,7 @@ func TestWireVersionRejectIsPermanent(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 reject, 1 failover, 0 fallbacks", st)
 	}
 	for _, p := range st.Peers {
-		if p.Addr == rejecting.URL && p.Down {
+		if p.Addr == rejectingAddr && p.Down {
 			t.Fatal("incompatible replica marked down; rejection is not unhealth")
 		}
 	}

@@ -89,15 +89,9 @@ func PodAt(p core.Pod, n tech.Node, w workload.Workload, op OperatingPoint) (Res
 	// the DRAM core and queueing are wall-clock and rescale with f.
 	onChip := d.MemLatency() - float64(tech.MemoryLatencyCycles) - 50
 	wallCycles := (tech.MemoryLatencyNanos + 25) * op.FreqGHz
-	lmem := onChip + wallCycles
+	lat := workload.Latencies{IFetch: lllc, Data: lllc, Mem: onChip + wallCycles}
 
-	cpi := 1 / w.BaseIPC[p.Core]
-	cpi += acc.IHitAPKI / 1000 * lllc
-	cpi += acc.DHitAPKI / 1000 * lllc * w.LLCOverlap[p.Core]
-	cpi += acc.IMissMPKI / 1000 * lmem
-	cpi += acc.DMissMPKI / 1000 * lmem / w.MLP[p.Core]
-
-	perCore := op.FreqGHz / cpi // GIPS per core
+	perCore := op.FreqGHz / w.CPI(p.Core, acc, lat, w.MLP.At(p.Core)) // GIPS per core
 	gips := perCore * float64(p.Cores)
 
 	nom := Nominal()

@@ -67,7 +67,7 @@ func fig22(ctx context.Context) (Table, error) {
 			base := 0.0
 			for i, mb := range sizes {
 				d := analytic.NewDesign(tech.Conventional, 4, mb, noc.Crossbar)
-				perf := analytic.ChipIPC(&w, d)
+				perf := analytic.Evaluate(&w, d).IPC
 				if i == 0 {
 					base = perf
 				}

@@ -2,6 +2,9 @@ package figures
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,6 +49,16 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 	s, p := renderAll(serial), renderAll(parallel)
 	if s != p {
 		t.Fatalf("parallel output differs from serial baseline:\nserial %d bytes, parallel %d bytes", len(s), len(p))
+	}
+	// The rendered suite is what `soproc -all` prints, byte for byte. A
+	// change that moves any result must update this digest in the same
+	// commit. It is pinned on amd64 only: elsewhere Go may fuse a
+	// multiply and an add, which moves the last bits of a result.
+	if runtime.GOARCH == "amd64" {
+		const want = "5c49d52e19e8c020e1d71fd8b67906d8b31e697eace96f5831fe0435c1476a8a"
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(p))); got != want {
+			t.Fatalf("rendered suite (%d bytes) has SHA-256 %s, pinned %s", len(p), got, want)
+		}
 	}
 }
 

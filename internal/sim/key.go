@@ -66,7 +66,7 @@ func (w WireConfig) appendLayout(b []byte) []byte {
 	return appendInt(b, w.L1MSHRs)
 }
 
-func appendWorkload(b []byte, w workload.Wire) []byte {
+func appendWorkload(b []byte, w workload.Workload) []byte {
 	b = appendString(b, w.Name)
 	b = appendValues(b, w.BaseIPC)
 	b = appendFloat(b, w.APKI)
@@ -89,7 +89,7 @@ func appendWorkload(b []byte, w workload.Wire) []byte {
 	return appendFloat(b, w.SharedWriteFrac)
 }
 
-func appendValues(b []byte, v workload.WireValues) []byte {
+func appendValues(b []byte, v workload.PerCore) []byte {
 	b = appendFloat(b, v.Conventional)
 	b = appendFloat(b, v.OoO)
 	return appendFloat(b, v.InOrder)

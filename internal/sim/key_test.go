@@ -47,18 +47,14 @@ func structuralBase(t testing.TB) StructuralConfig {
 	return cfg
 }
 
-// keyLeaf is one leaf of a configuration type: the field path and, for
-// a per-core-type map, the entry.
+// keyLeaf is one leaf of a configuration type: its field path.
 type keyLeaf struct {
 	name  string
 	index []int
-	inMap bool
-	entry tech.CoreType
 }
 
-// keyLeaves walks a configuration type down to its leaves. Structs are
-// descended into; a per-core-type map contributes one leaf per core
-// type.
+// keyLeaves walks a configuration type down to its leaves, descending
+// into structs.
 func keyLeaves(typ reflect.Type, prefix string, index []int) []keyLeaf {
 	var out []keyLeaf
 	for i := 0; i < typ.NumField(); i++ {
@@ -68,10 +64,6 @@ func keyLeaves(typ reflect.Type, prefix string, index []int) []keyLeaf {
 		switch f.Type.Kind() {
 		case reflect.Struct:
 			out = append(out, keyLeaves(f.Type, name+".", idx)...)
-		case reflect.Map:
-			for _, ct := range []tech.CoreType{tech.Conventional, tech.OoO, tech.InOrder} {
-				out = append(out, keyLeaf{name: name + "[" + ct.String() + "]", index: idx, inMap: true, entry: ct})
-			}
 		default:
 			out = append(out, keyLeaf{name: name, index: idx})
 		}
@@ -117,23 +109,9 @@ func nudges(t *testing.T, name string, v reflect.Value) []reflect.Value {
 func perturb[C interface{ Canonical() (C, error) }](t *testing.T, base C, l keyLeaf) C {
 	t.Helper()
 	field := reflect.ValueOf(&base).Elem().FieldByIndex(l.index)
-	cur := field
-	if l.inMap {
-		cur = field.MapIndex(reflect.ValueOf(l.entry))
-	}
-	for _, nv := range nudges(t, l.name, cur) {
+	for _, nv := range nudges(t, l.name, field) {
 		cfg := base
-		f := reflect.ValueOf(&cfg).Elem().FieldByIndex(l.index)
-		if l.inMap {
-			m := reflect.MakeMap(f.Type())
-			for it := f.MapRange(); it.Next(); {
-				m.SetMapIndex(it.Key(), it.Value())
-			}
-			m.SetMapIndex(reflect.ValueOf(l.entry), nv)
-			f.Set(m)
-		} else {
-			f.Set(nv)
-		}
+		reflect.ValueOf(&cfg).Elem().FieldByIndex(l.index).Set(nv)
 		if _, err := cfg.Canonical(); err == nil {
 			return cfg
 		}
@@ -164,7 +142,7 @@ func keyCoverage[C interface {
 }
 
 // TestKeyCoversEveryField: every leaf of Config and StructuralConfig —
-// each workload field, each per-core-type map entry, each interconnect
+// each workload field, each per-core-type value, each interconnect
 // field — is part of the memo key. A new field the key does not cover
 // would let two different simulations share one memo entry.
 func TestKeyCoversEveryField(t *testing.T) {
@@ -173,8 +151,7 @@ func TestKeyCoversEveryField(t *testing.T) {
 }
 
 // TestKeyCanonical: configurations equal after Canonical share a key —
-// explicit defaults against zero values, and workload maps filled in
-// different orders.
+// explicit defaults against zero values.
 func TestKeyCanonical(t *testing.T) {
 	w, _ := workload.ByName(workload.DataServing)
 	implicit := Config{Workload: w, CoreType: tech.InOrder, Cores: 32, LLCMB: 4}
@@ -194,28 +171,6 @@ func TestKeyCanonical(t *testing.T) {
 	}
 	if simp.Key() != sexp.Key() {
 		t.Error("explicit defaults change the structural key")
-	}
-
-	order := []tech.CoreType{tech.Conventional, tech.OoO, tech.InOrder}
-	refill := func(m map[tech.CoreType]float64, reverse bool) map[tech.CoreType]float64 {
-		out := make(map[tech.CoreType]float64)
-		for i := range order {
-			ct := order[i]
-			if reverse {
-				ct = order[len(order)-1-i]
-			}
-			out[ct] = m[ct]
-		}
-		return out
-	}
-	a, b := w, w
-	a.BaseIPC, b.BaseIPC = refill(w.BaseIPC, false), refill(w.BaseIPC, true)
-	a.MLP, b.MLP = refill(w.MLP, false), refill(w.MLP, true)
-	a.LLCOverlap, b.LLCOverlap = refill(w.LLCOverlap, false), refill(w.LLCOverlap, true)
-	ca, cb := implicit, implicit
-	ca.Workload, cb.Workload = a, b
-	if ca.Key() != cb.Key() || ca.Key() != implicit.Key() {
-		t.Error("workload map fill order changes the key")
 	}
 }
 

@@ -291,10 +291,10 @@ func derive(cfg Config) cfgDerived {
 	if dAPKI > 0 {
 		d.pMissData = acc.DMissMPKI / dAPKI
 	}
-	d.baseIPC = w.BaseIPC[t]
+	d.baseIPC = w.BaseIPC.At(t)
 	d.width = tech.Cores(t).Width
-	d.overlap = w.LLCOverlap[t]
-	d.slots = int(math.Round(w.MLP[t]))
+	d.overlap = w.LLCOverlap.At(t)
+	d.slots = int(math.Round(w.MLP.At(t)))
 	if d.slots < 1 {
 		d.slots = 1
 	}

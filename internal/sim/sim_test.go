@@ -86,8 +86,8 @@ func TestIPCBounds(t *testing.T) {
 		if r.AppIPC <= 0 {
 			t.Errorf("%s: IPC %v", w.Name, r.AppIPC)
 		}
-		if r.PerCoreIPC >= w.BaseIPC[tech.OoO] {
-			t.Errorf("%s: per-core %v above base %v", w.Name, r.PerCoreIPC, w.BaseIPC[tech.OoO])
+		if r.PerCoreIPC >= w.BaseIPC.OoO {
+			t.Errorf("%s: per-core %v above base %v", w.Name, r.PerCoreIPC, w.BaseIPC.OoO)
 		}
 	}
 }
@@ -105,7 +105,7 @@ func TestAgreementWithModel(t *testing.T) {
 				Net: noc.New(noc.Crossbar, cores), DisableSWScaling: true,
 			}
 			r := run(t, cfg)
-			model := analytic.ChipIPC(&w, analytic.NewDesign(tech.OoO, cores, 4, noc.Crossbar))
+			model := analytic.Evaluate(&w, analytic.NewDesign(tech.OoO, cores, 4, noc.Crossbar)).IPC
 			if errPct := math.Abs(r.AppIPC-model) / model; errPct > 0.15 {
 				t.Errorf("%s at %d cores: sim %v vs model %v (%.0f%%)",
 					w.Name, cores, r.AppIPC, model, errPct*100)

@@ -23,7 +23,7 @@ const WireVersion = 1
 // /v1/sweep handler. Unlike the legacy symbolic sweep fields, it
 // carries the complete interconnect (noc.Wire, including WireDelta,
 // Concentration, ExpressLinks, TileEdge, LinkBits) and the full
-// workload specification (workload.Wire), so *every* point a figure can
+// workload (workload.Workload), so *every* point a figure can
 // construct is representable — nothing silently "never leaves the
 // process".
 //
@@ -41,7 +41,7 @@ type WireConfig struct {
 	// Kind selects the simulator: "sim" or "structural".
 	Kind string `json:"kind"`
 
-	Workload workload.Wire `json:"workload"`
+	Workload workload.Workload `json:"workload"`
 
 	// Core is the core microarchitecture token: "conventional", "ooo",
 	// or "in-order".
@@ -135,7 +135,7 @@ func (c Config) wireFields() WireConfig {
 	return WireConfig{
 		Version:          WireVersion,
 		Kind:             "sim",
-		Workload:         c.Workload.Wire(),
+		Workload:         c.Workload,
 		Core:             coreToken(c.CoreType),
 		Cores:            c.Cores,
 		LLCMB:            c.LLCMB,
@@ -153,7 +153,7 @@ func (c StructuralConfig) wireFields() WireConfig {
 	return WireConfig{
 		Version:       WireVersion,
 		Kind:          "structural",
-		Workload:      c.Workload.Wire(),
+		Workload:      c.Workload,
 		Core:          coreToken(c.CoreType),
 		Cores:         c.Cores,
 		LLCMB:         c.LLCMB,
@@ -296,7 +296,7 @@ func (w WireConfig) fields() (workload.Workload, tech.CoreType, noc.Config, erro
 	if err != nil {
 		return workload.Workload{}, 0, noc.Config{}, err
 	}
-	return w.Workload.Workload(), core, net, nil
+	return w.Workload, core, net, nil
 }
 
 func (w WireConfig) simConfig() (Config, error) {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // FuzzUnmarshalWire hardens the wire decoder against arbitrary bytes:
 // the daemon feeds client-controlled "config" objects straight into
@@ -14,20 +11,8 @@ import (
 // valid encodings (same generator, seed 7) plus malformed shapes:
 // truncations, wrong JSON kinds, version skew, and non-JSON bytes.
 func FuzzUnmarshalWire(f *testing.F) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 300; i++ {
-		base := randBase(rng)
-		var (
-			data []byte
-			err  error
-		)
-		if i%2 == 0 {
-			cfg := base
-			cfg.DisableSWScaling = rng.Intn(2) == 0
-			data, err = cfg.MarshalWire()
-		} else {
-			data, err = randStructural(rng, base).MarshalWire()
-		}
+	for i, cfg := range wireWalk(7, 300) {
+		data, err := cfg.MarshalWire()
 		if err != nil {
 			f.Fatalf("seed %d: MarshalWire: %v", i, err)
 		}

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"scaleout/internal/noc"
@@ -53,17 +55,50 @@ func randWorkload(rng *rand.Rand) workload.Workload {
 	w.Alpha = 0.1 + 1.5*rng.Float64()
 	w.SnoopPct *= rng.Float64() * 2
 	w.SharedFrac = rng.Float64() * 0.1
-	bi := make(map[tech.CoreType]float64)
-	for t, v := range w.BaseIPC {
-		bi[t] = v * (0.5 + 0.5*rng.Float64())
-	}
-	w.BaseIPC = bi
+	// Each per-core value is drawn in a fixed order, so a walk from one
+	// seed yields one corpus. Base IPC only falls, staying within each
+	// core's width; MLP stays at least 1 and LLC overlap in (0, 1].
+	perCore(&w.BaseIPC, func(v float64) float64 { return v * (0.5 + 0.5*rng.Float64()) })
+	perCore(&w.MLP, func(v float64) float64 { return 1 + (v-1)*2*rng.Float64() })
+	perCore(&w.LLCOverlap, func(v float64) float64 { return v * (0.5 + 0.5*rng.Float64()) })
 	return w
 }
 
-// randBase draws one randomized base configuration — the shared
-// generator behind the round-trip property test and FuzzUnmarshalWire's
-// seed corpus (both walk it from seed 7).
+// perCore replaces each core type's value in p with f of it, in enum
+// order.
+func perCore(p *workload.PerCore, f func(float64) float64) {
+	p.Conventional = f(p.Conventional)
+	p.OoO = f(p.OoO)
+	p.InOrder = f(p.InOrder)
+}
+
+// wireSample is one configuration of the walk: a Config or a
+// StructuralConfig.
+type wireSample interface {
+	Key() string
+	MarshalWire() ([]byte, error)
+}
+
+// wireWalk draws n randomized configurations from seed — the shared
+// walk behind the round-trip property test and FuzzUnmarshalWire's seed
+// corpus (both walk it from seed 7). Even draws are Configs with a
+// random DisableSWScaling, odd draws StructuralConfigs.
+func wireWalk(seed int64, n int) []wireSample {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]wireSample, n)
+	for i := range out {
+		base := randBase(rng)
+		if i%2 == 0 {
+			base.DisableSWScaling = rng.Intn(2) == 0
+			out[i] = base
+		} else {
+			out[i] = randStructural(rng, base)
+		}
+	}
+	return out
+}
+
+// randBase draws one randomized base configuration.
 func randBase(rng *rand.Rand) Config {
 	cores := 1 << rng.Intn(8)
 	base := Config{
@@ -110,53 +145,54 @@ func randStructural(rng *rand.Rand, base Config) StructuralConfig {
 // exactly c's memo key. This is the invariant that keeps cluster output
 // byte-identical to single-node output for every representable point.
 func TestWireRoundTripRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 300; i++ {
-		base := randBase(rng)
+	for i, cfg := range wireWalk(7, 300) {
+		data, err := cfg.MarshalWire()
+		if err != nil {
+			t.Fatalf("sample %d: MarshalWire: %v", i, err)
+		}
+		wc, err := UnmarshalWire(data)
+		if err != nil {
+			t.Fatalf("sample %d: UnmarshalWire: %v", i, err)
+		}
+		dec, err := wc.Decode()
+		if err != nil {
+			t.Fatalf("sample %d: Decode: %v", i, err)
+		}
+		if reflect.TypeOf(dec) != reflect.TypeOf(cfg) {
+			t.Fatalf("sample %d: Decode returned %T for a %T", i, dec, cfg)
+		}
+		if got := dec.(wireSample).Key(); got != cfg.Key() {
+			t.Fatalf("sample %d: round-trip key mismatch:\n got %s\nwant %s", i, got, cfg.Key())
+		}
+	}
+}
 
-		if i%2 == 0 {
-			cfg := base
-			cfg.DisableSWScaling = rng.Intn(2) == 0
-			data, err := cfg.MarshalWire()
-			if err != nil {
-				t.Fatalf("sample %d: MarshalWire: %v", i, err)
-			}
-			wc, err := UnmarshalWire(data)
-			if err != nil {
-				t.Fatalf("sample %d: UnmarshalWire: %v", i, err)
-			}
-			dec, err := wc.Decode()
-			if err != nil {
-				t.Fatalf("sample %d: Decode: %v", i, err)
-			}
-			got, ok := dec.(Config)
-			if !ok {
-				t.Fatalf("sample %d: Decode returned %T", i, dec)
-			}
-			if got.Key() != cfg.Key() {
-				t.Fatalf("sample %d: round-trip key mismatch:\n got %s\nwant %s", i, got.Key(), cfg.Key())
-			}
-		} else {
-			cfg := randStructural(rng, base)
-			data, err := cfg.MarshalWire()
-			if err != nil {
-				t.Fatalf("sample %d: structural MarshalWire: %v", i, err)
-			}
-			wc, err := UnmarshalWire(data)
-			if err != nil {
-				t.Fatalf("sample %d: structural UnmarshalWire: %v", i, err)
-			}
-			dec, err := wc.Decode()
-			if err != nil {
-				t.Fatalf("sample %d: structural Decode: %v", i, err)
-			}
-			got, ok := dec.(StructuralConfig)
-			if !ok {
-				t.Fatalf("sample %d: Decode returned %T", i, dec)
-			}
-			if got.Key() != cfg.Key() {
-				t.Fatalf("sample %d: structural round-trip key mismatch:\n got %s\nwant %s", i, got.Key(), cfg.Key())
-			}
+// TestWireWalkReproducible: two walks from one seed draw the same
+// configurations, so the property test and the fuzz seed corpus are
+// the same on every run; and the walk perturbs every per-core
+// parameter of some workload.
+func TestWireWalkReproducible(t *testing.T) {
+	a, b := wireWalk(7, 300), wireWalk(7, 300)
+	perturbed := map[string]bool{}
+	for i := range a {
+		if a[i].Key() != b[i].Key() {
+			t.Fatalf("sample %d: two walks from seed 7 differ:\n%s\n%s", i, a[i].Key(), b[i].Key())
+		}
+		var w workload.Workload
+		switch c := a[i].(type) {
+		case Config:
+			w = c.Workload
+		case StructuralConfig:
+			w = c.Workload
+		}
+		suite, _ := workload.ByName(strings.TrimSuffix(w.Name, " (perturbed)"))
+		perturbed["BaseIPC"] = perturbed["BaseIPC"] || w.BaseIPC != suite.BaseIPC
+		perturbed["MLP"] = perturbed["MLP"] || w.MLP != suite.MLP
+		perturbed["LLCOverlap"] = perturbed["LLCOverlap"] || w.LLCOverlap != suite.LLCOverlap
+	}
+	for _, f := range []string{"BaseIPC", "MLP", "LLCOverlap"} {
+		if !perturbed[f] {
+			t.Errorf("no sample perturbs %s", f)
 		}
 	}
 }

@@ -34,6 +34,37 @@ func TestNamesAndByName(t *testing.T) {
 	}
 }
 
+// The suite is built once: Suite hands out one copy per call, and
+// ByName and a caller's mutations never touch the shared models.
+func TestSuiteIsBuiltOnce(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _ = Suite() }); n > 1 {
+		t.Errorf("Suite makes %v allocations, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ByName(WebSearch) }); n != 0 {
+		t.Errorf("ByName makes %v allocations, want 0", n)
+	}
+	ws := Suite()
+	ws[0].Name = "mutated"
+	ws[0].BaseIPC.OoO = 0
+	w, _ := ByName(DataServing)
+	w.MLP.InOrder = 0
+	if again := Suite(); again[0].Name != DataServing || again[0].BaseIPC.OoO == 0 {
+		t.Fatal("mutating a Suite copy changed the suite")
+	}
+	if again, _ := ByName(DataServing); again.MLP.InOrder == 0 {
+		t.Fatal("mutating a ByName copy changed the suite")
+	}
+}
+
+func TestPerCoreAt(t *testing.T) {
+	p := PerCore{Conventional: 1, OoO: 2, InOrder: 3}
+	for ct, want := range map[tech.CoreType]float64{tech.Conventional: 1, tech.OoO: 2, tech.InOrder: 3, tech.CoreType(7): 0, tech.CoreType(-1): 0} {
+		if got := p.At(ct); got != want {
+			t.Errorf("At(%v) = %v, want %v", ct, got, want)
+		}
+	}
+}
+
 func TestValidateRejectsBadParams(t *testing.T) {
 	base, _ := ByName(WebSearch)
 	bads := []func(*Workload){
@@ -45,24 +76,12 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(w *Workload) { w.Alpha = 0 },
 		func(w *Workload) { w.InstrFootprintMB = 0 },
 		func(w *Workload) { w.ScaleLimit = 0 },
-		func(w *Workload) { w.BaseIPC[tech.OoO] = 99 },
-		func(w *Workload) { w.MLP[tech.InOrder] = 0.5 },
-		func(w *Workload) { w.LLCOverlap[tech.Conventional] = 0 },
+		func(w *Workload) { w.BaseIPC.OoO = 99 },
+		func(w *Workload) { w.MLP.InOrder = 0.5 },
+		func(w *Workload) { w.LLCOverlap.Conventional = 0 },
 	}
 	for i, mutate := range bads {
 		w := base
-		w.BaseIPC = map[tech.CoreType]float64{}
-		w.MLP = map[tech.CoreType]float64{}
-		w.LLCOverlap = map[tech.CoreType]float64{}
-		for k, v := range base.BaseIPC {
-			w.BaseIPC[k] = v
-		}
-		for k, v := range base.MLP {
-			w.MLP[k] = v
-		}
-		for k, v := range base.LLCOverlap {
-			w.LLCOverlap[k] = v
-		}
 		mutate(&w)
 		if err := w.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
@@ -75,7 +94,7 @@ func TestMissCurveMonotonicInCapacity(t *testing.T) {
 	for _, w := range Suite() {
 		prev := math.Inf(1)
 		for _, mb := range []float64{1, 2, 4, 8, 16, 32} {
-			m := w.MemMPKI(tech.OoO, mb, 4)
+			m := w.AccessBreakdown(tech.OoO, mb, 4).MemMPKITotal()
 			if m > prev+1e-12 {
 				t.Errorf("%s: miss rate rose from %v to %v at %vMB", w.Name, prev, m, mb)
 			}
@@ -89,7 +108,7 @@ func TestMissCurveMonotonicInSharing(t *testing.T) {
 	for _, w := range Suite() {
 		prev := 0.0
 		for _, cores := range []int{1, 4, 16, 64, 256} {
-			m := w.MemMPKI(tech.OoO, 4, cores)
+			m := w.AccessBreakdown(tech.OoO, 4, cores).MemMPKITotal()
 			if m < prev-1e-12 {
 				t.Errorf("%s: miss rate fell with more sharers at %d cores", w.Name, cores)
 			}
@@ -103,8 +122,8 @@ func TestMissCurveMonotonicInSharing(t *testing.T) {
 // pressure growth from 2 to 256 cores.
 func TestSharingPressureIsMild(t *testing.T) {
 	for _, w := range Suite() {
-		m2 := w.MemMPKI(tech.OoO, 4, 2)
-		m256 := w.MemMPKI(tech.OoO, 4, 256)
+		m2 := w.AccessBreakdown(tech.OoO, 4, 2).MemMPKITotal()
+		m256 := w.AccessBreakdown(tech.OoO, 4, 256).MemMPKITotal()
 		if m256 > m2*4 {
 			t.Errorf("%s: misses grew %vx from 2 to 256 sharers", w.Name, m256/m2)
 		}
@@ -157,20 +176,21 @@ func TestSWEfficiency(t *testing.T) {
 
 func TestOffChipTraffic(t *testing.T) {
 	w, _ := ByName(SATSolver)
-	gbs := w.OffChipGBs(tech.OoO, 4, 16, 0.9)
+	acc := w.AccessBreakdown(tech.OoO, 4, 16)
+	gbs := w.OffChipGBs(acc, 16, 0.9)
 	if gbs <= 0 || gbs > 50 {
 		t.Fatalf("implausible off-chip traffic %v GB/s", gbs)
 	}
-	peak := w.PeakOffChipGBs(tech.OoO, 4, 16, 0.9)
+	peak := w.PeakOffChipGBs(acc, 16, 0.9)
 	if peak <= gbs {
 		t.Fatal("peak demand should exceed the average")
 	}
 	// Traffic is linear in IPC at a fixed configuration.
-	if d := w.OffChipGBs(tech.OoO, 4, 16, 1.8); math.Abs(d-2*gbs) > 1e-9 {
+	if d := w.OffChipGBs(acc, 16, 1.8); math.Abs(d-2*gbs) > 1e-9 {
 		t.Fatalf("traffic not linear in IPC: %v vs 2x%v", d, gbs)
 	}
 	// More sharers at fixed capacity demand at least proportional traffic.
-	if d := w.OffChipGBs(tech.OoO, 4, 32, 0.9); d < 2*gbs {
+	if d := w.OffChipGBs(w.AccessBreakdown(tech.OoO, 4, 32), 32, 0.9); d < 2*gbs {
 		t.Fatalf("32 sharers demand %v, below 2x the 16-sharer %v", d, gbs)
 	}
 }
@@ -182,7 +202,7 @@ func TestCalibrationAnchors(t *testing.T) {
 	ws := Suite()
 	ms, _ := ByName(MediaStreaming)
 	for _, w := range ws {
-		if w.Name != MediaStreaming && w.BaseIPC[tech.Conventional] <= ms.BaseIPC[tech.Conventional] {
+		if w.Name != MediaStreaming && w.BaseIPC.Conventional <= ms.BaseIPC.Conventional {
 			t.Errorf("%s base IPC below Media Streaming", w.Name)
 		}
 	}
