@@ -66,7 +66,6 @@ import (
 	"scaleout/internal/exp"
 	"scaleout/internal/exp/engine"
 	"scaleout/internal/figures"
-	"scaleout/internal/metrics"
 	"scaleout/internal/store"
 	"scaleout/internal/tier"
 )
@@ -255,7 +254,7 @@ func writeStatsJSON(path string, eng *exp.Engine, st *store.Store, coord *cluste
 }
 
 // traceDecisions streams every engine decision as one JSON line
-// (metrics.Decision shape, keys condensed to fingerprints) to path —
+// (exp.TraceRecord, keys condensed to fingerprints) to path —
 // stderr when path is empty — and returns the flush-and-close
 // function. Trace output never touches stdout, so a traced run's
 // tables stay byte-identical to an untraced run's.
@@ -281,18 +280,9 @@ func traceDecisions(eng *exp.Engine, path string) (flush func() error, err error
 		seq++
 		// Encode into the buffered writer only; a disk flush per point
 		// would put file latency on the engine's resolution path.
-		enc.Encode(metrics.Decision{
-			Seq:              seq,
-			UnixNanos:        time.Now().UnixNano(),
-			Key:              metrics.KeyFingerprint(d.Key),
-			Source:           d.Source,
-			Replica:          d.Replica,
-			Rank:             d.Rank,
-			Retries:          d.Retries,
-			QueueWaitSeconds: d.QueueWait.Seconds(),
-			LatencySeconds:   d.Latency.Seconds(),
-			Err:              d.Err,
-		})
+		rec := exp.TraceRecord(d)
+		rec.Seq, rec.UnixNanos = seq, time.Now().UnixNano()
+		enc.Encode(rec)
 	})
 	return func() error {
 		eng.SetDecisionHook(nil)

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"scaleout/internal/metrics"
 	"scaleout/internal/vclock"
 )
 
@@ -346,9 +347,9 @@ func (c *Controller) Draining() bool {
 type LaneStats struct {
 	// Admitted counts requests granted a slot in this lane; Queued the
 	// subset that waited for one; Depth the requests waiting right now.
-	Admitted int64 `json:"admitted"`
-	Queued   int64 `json:"queued"`
-	Depth    int   `json:"depth"`
+	Admitted int64 `json:"admitted" metric:"soproc_admit_lane_admitted_total" help:"requests granted a slot, per lane"`
+	Queued   int64 `json:"queued" metric:"soproc_admit_lane_queued_total" help:"admitted requests that waited in the queue first, per lane"`
+	Depth    int   `json:"depth" metric:"soproc_admit_lane_depth" help:"requests waiting in the queue right now, per lane"`
 }
 
 // Stats is a point-in-time snapshot of the controller's admission
@@ -356,23 +357,27 @@ type LaneStats struct {
 type Stats struct {
 	// Admitted counts requests granted a slot; InFlight the admitted
 	// requests currently running.
-	Admitted int64 `json:"admitted"`
-	InFlight int   `json:"in_flight"`
+	Admitted int64 `json:"admitted" metric:"soproc_admit_admitted_total" help:"requests granted an execution slot (all lanes)"`
+	InFlight int   `json:"in_flight" metric:"soproc_admit_in_flight_requests" help:"admitted requests currently running"`
 	// RateLimited counts sheds by a client's empty token bucket;
 	// ShedQueueFull sheds by a full admission queue (both 429);
 	// ShedDraining refusals during drain (503); Abandoned queue waits
 	// given up by deadline or disconnect.
-	RateLimited   int64 `json:"rate_limited"`
-	ShedQueueFull int64 `json:"shed_queue_full"`
-	ShedDraining  int64 `json:"shed_draining"`
-	Abandoned     int64 `json:"abandoned"`
+	RateLimited   int64 `json:"rate_limited" metric:"soproc_admit_rate_limited_total" help:"requests shed by a client's empty token bucket (429)"`
+	ShedQueueFull int64 `json:"shed_queue_full" metric:"soproc_admit_shed_queue_full_total" help:"requests shed by a full admission queue (429)"`
+	ShedDraining  int64 `json:"shed_draining" metric:"soproc_admit_shed_draining_total" help:"requests refused during drain (503)"`
+	Abandoned     int64 `json:"abandoned" metric:"soproc_admit_abandoned_total" help:"queue waits given up by deadline or disconnect"`
 	// Lanes maps lane name ("interactive", "bulk") to its counters.
-	Lanes map[string]LaneStats `json:"lanes"`
+	Lanes map[string]LaneStats `json:"lanes" metric:"lane"`
 	// Clients is the number of tracked per-client rate buckets.
-	Clients int `json:"clients"`
+	Clients int `json:"clients" metric:"soproc_admit_clients" help:"tracked per-client rate buckets"`
 	// Draining reports shutdown mode.
-	Draining bool `json:"draining"`
+	Draining bool `json:"draining" metric:"soproc_admit_draining" help:"1 while the controller is draining"`
 }
+
+// RegisterMetrics registers the Stats counters on reg as the
+// soproc_admit_* families, read at scrape time.
+func (c *Controller) RegisterMetrics(reg *metrics.Registry) { metrics.RegisterStats(reg, c.Stats) }
 
 // Stats snapshots the controller's counters.
 func (c *Controller) Stats() Stats {

@@ -44,10 +44,15 @@ func (d Design) Validate() error {
 	return nil
 }
 
-// memQueueMargin is the average queueing, controller, and row-buffer
-// conflict overhead added to the raw 45ns DRAM access latency under load,
-// in cycles (loaded latency ~70-80ns, typical for saturated channels).
-const memQueueMargin = 50
+// MemQueueNanos is the average queueing, controller, and row-buffer
+// conflict overhead added to the raw 45ns DRAM access latency under
+// load (loaded latency ~70-80ns, typical for saturated channels). It is
+// wall-clock time, so a model that rescales the clock (internal/dvfs)
+// rescales it with the DRAM access.
+const MemQueueNanos = 25.0
+
+// memQueueMargin is MemQueueNanos in cycles at the nominal clock.
+const memQueueMargin = MemQueueNanos * tech.ClockGHz
 
 // BankMB returns the capacity of one LLC bank. Following Table 3.1, UCA
 // designs (crossbar, ideal) use one bank per four cores while NUCA
@@ -72,11 +77,18 @@ func (d Design) LLCLatency() float64 {
 	return float64(tech.LLCBankLatency(d.BankMB())) + d.Net.AccessLatency()
 }
 
+// OnChipMissLatency returns the on-chip part of an off-chip miss in
+// cycles: the LLC bank lookup that detects the miss and the one-way
+// network latency.
+func (d Design) OnChipMissLatency() float64 {
+	return float64(tech.LLCBankLatency(d.BankMB())) + d.Net.OneWayLatency()
+}
+
 // MemLatency returns the effective off-chip miss latency in cycles: the
-// LLC lookup that detects the miss, the DRAM access, and queueing margin.
+// on-chip lookup that detects the miss, the DRAM access, and queueing
+// margin.
 func (d Design) MemLatency() float64 {
-	return float64(tech.LLCBankLatency(d.BankMB())) + d.Net.OneWayLatency() +
-		float64(tech.MemoryLatencyCycles) + memQueueMargin
+	return d.OnChipMissLatency() + float64(tech.MemoryLatencyCycles) + memQueueMargin
 }
 
 // Perf is what the analytic model predicts for a design: on one

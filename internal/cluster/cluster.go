@@ -78,6 +78,7 @@ import (
 
 	"scaleout/internal/admit"
 	"scaleout/internal/exp/engine"
+	"scaleout/internal/metrics"
 	"scaleout/internal/serve"
 	"scaleout/internal/sim"
 	"scaleout/internal/vclock"
@@ -782,47 +783,51 @@ func parseRetryAfter(h string) time.Duration {
 // it is the /statsz "cluster" section of a -peers daemon.
 type Stats struct {
 	// Peers reports each replica in -peers order.
-	Peers []PeerStats `json:"peers"`
+	Peers []PeerStats `json:"peers" metric:"replica"`
 	// Routed counts points answered by a replica; Failovers the subset
 	// retried past their first-choice owner after a failure.
-	Routed    int64 `json:"routed"`
-	Failovers int64 `json:"failovers"`
+	Routed    int64 `json:"routed" metric:"soproc_cluster_routed_points_total" help:"points answered by a replica"`
+	Failovers int64 `json:"failovers" metric:"soproc_cluster_failovers_total" help:"points retried past their first-choice owner after a failure"`
 	// Retries counts same-replica re-attempts after transient failures
 	// (each waits a jittered exponential backoff); Busy counts 429
 	// responses honored — the replica was shedding load, so its
 	// Retry-After hint was waited out instead of marking it down.
-	Retries int64 `json:"retries"`
-	Busy    int64 `json:"busy"`
+	Retries int64 `json:"retries" metric:"soproc_cluster_retries_total" help:"same-replica re-attempts after transient failures"`
+	Busy    int64 `json:"busy" metric:"soproc_cluster_busy_total" help:"429 responses honored (replica shedding load, Retry-After waited out)"`
 	// LocalFallbacks counts points computed locally because every
 	// replica failed or rejected them; Unroutable those whose payload
 	// could not be converted to the wire form at all (always computed
 	// locally). With the complete wire encoding both should be zero in
 	// a healthy cluster — the first occurrence of each per run is also
 	// logged, and CI asserts unroutable == 0 across the figure suite.
-	LocalFallbacks int64 `json:"local_fallbacks"`
-	Unroutable     int64 `json:"unroutable"`
+	LocalFallbacks int64 `json:"local_fallbacks" metric:"soproc_cluster_local_fallbacks_total" help:"points computed locally because every replica failed or rejected them"`
+	Unroutable     int64 `json:"unroutable" metric:"soproc_cluster_unroutable_total" help:"points whose payload has no wire form (always computed locally)"`
 	// Rejects counts permanent per-replica rejections (a definitive
 	// 4xx other than 429, e.g. a wire_version the replica does not
 	// speak): no retry, no markDown, straight to the next owner.
-	Rejects int64 `json:"rejects"`
+	Rejects int64 `json:"rejects" metric:"soproc_cluster_rejects_total" help:"permanent per-replica rejections (definitive 4xx other than 429)"`
 	// Posts counts /v1/sweep requests issued — Routed/Posts is the
 	// batching factor.
-	Posts int64 `json:"posts"`
+	Posts int64 `json:"posts" metric:"soproc_cluster_posts_total" help:"/v1/sweep requests issued (routed/posts is the batching factor)"`
 }
 
 // PeerStats is one replica's slice of a Stats snapshot.
 type PeerStats struct {
-	Addr string `json:"addr"`
+	Addr string `json:"addr" metric:"label"`
 	// Sent counts points this replica answered; Failures the attempts
 	// it failed; Busy the 429s it shed; Probes the /healthz probes
 	// issued at it while in cooldown; Down whether it is currently in
 	// failure cooldown.
-	Sent     int64 `json:"sent"`
-	Failures int64 `json:"failures"`
-	Busy     int64 `json:"busy"`
-	Probes   int64 `json:"probes"`
-	Down     bool  `json:"down"`
+	Sent     int64 `json:"sent" metric:"soproc_cluster_replica_sent_points_total" help:"points each replica answered"`
+	Failures int64 `json:"failures" metric:"soproc_cluster_replica_failures_total" help:"failed /v1/sweep attempts per replica"`
+	Busy     int64 `json:"busy" metric:"soproc_cluster_replica_busy_total" help:"429 responses shed per replica"`
+	Probes   int64 `json:"probes" metric:"soproc_cluster_replica_probes_total" help:"/healthz probes issued per replica while in cooldown"`
+	Down     bool  `json:"down" metric:"soproc_cluster_replica_down" help:"1 while the replica is in failure cooldown"`
 }
+
+// RegisterMetrics registers the Stats counters on reg as the
+// soproc_cluster_* families, read at scrape time.
+func (c *Coordinator) RegisterMetrics(reg *metrics.Registry) { metrics.RegisterStats(reg, c.Stats) }
 
 // Stats snapshots the coordinator's routing counters.
 func (c *Coordinator) Stats() Stats {

@@ -15,6 +15,7 @@ package dvfs
 import (
 	"fmt"
 
+	"scaleout/internal/analytic"
 	"scaleout/internal/core"
 	"scaleout/internal/tech"
 	"scaleout/internal/workload"
@@ -74,8 +75,9 @@ const leakageFrac = 0.3
 // PodAt evaluates a pod running workload w at an operating point.
 //
 // Throughput: the workload's CPI stack is rebuilt with the off-chip
-// terms rescaled — a miss costs MemLatencyNanos of wall-clock time, i.e.
-// more cycles at higher clocks — then converted to instructions per
+// terms rescaled — a miss costs the DRAM access and its queueing
+// (tech.MemoryLatencyNanos + analytic.MemQueueNanos) in wall-clock time,
+// i.e. more cycles at higher clocks — then converted to instructions per
 // second at the point's frequency.
 func PodAt(p core.Pod, n tech.Node, w workload.Workload, op OperatingPoint) (Result, error) {
 	if err := op.Validate(); err != nil {
@@ -87,9 +89,8 @@ func PodAt(p core.Pod, n tech.Node, w workload.Workload, op OperatingPoint) (Res
 
 	// Off-chip latency: the on-chip portion (bank + network) is cycles;
 	// the DRAM core and queueing are wall-clock and rescale with f.
-	onChip := d.MemLatency() - float64(tech.MemoryLatencyCycles) - 50
-	wallCycles := (tech.MemoryLatencyNanos + 25) * op.FreqGHz
-	lat := workload.Latencies{IFetch: lllc, Data: lllc, Mem: onChip + wallCycles}
+	wallCycles := (tech.MemoryLatencyNanos + analytic.MemQueueNanos) * op.FreqGHz
+	lat := workload.Latencies{IFetch: lllc, Data: lllc, Mem: d.OnChipMissLatency() + wallCycles}
 
 	perCore := op.FreqGHz / w.CPI(p.Core, acc, lat, w.MLP.At(p.Core)) // GIPS per core
 	gips := perCore * float64(p.Cores)

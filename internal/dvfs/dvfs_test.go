@@ -51,7 +51,7 @@ func TestNominalConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantGIPS := pod().IPC(ws) * tech.ClockGHz
-	if math.Abs(r.GIPS-wantGIPS)/wantGIPS > 0.10 {
+	if math.Abs(r.GIPS-wantGIPS)/wantGIPS > 1e-12 {
 		t.Fatalf("nominal GIPS %v, base model %v", r.GIPS, wantGIPS)
 	}
 	if math.Abs(r.PowerW-pod().Power(tech.N40())) > 1e-9 {

@@ -79,21 +79,15 @@ func fig33(ctx context.Context) (Table, error) {
 		Title:   "Model validation: simulation vs analytic PD (OoO, 4MB LLC)",
 		Headers: []string{"Workload", "Net", "Cores", "PD(sim)", "PD(model)", "Err%"},
 	}
-	type point struct {
-		w    workload.Workload
-		kind noc.Kind
-		c    int
-	}
-	var pts []point
-	var cfgs []sim.Config
+	ws := workload.Suite()
 	kinds := []noc.Kind{noc.Ideal, noc.Crossbar, noc.Mesh}
-	for _, w := range workload.Suite() {
+	cfgs := make([]sim.Config, 0, len(ws)*len(kinds)*7) // 1..64 cores
+	for _, w := range ws {
 		for _, kind := range kinds {
 			for c := 1; c <= 64; c *= 2 {
 				if c > w.ScaleLimit {
 					continue
 				}
-				pts = append(pts, point{w, kind, c})
 				cfgs = append(cfgs, sim.Config{
 					Workload: w, CoreType: tech.OoO, Cores: c, LLCMB: 4,
 					Net: noc.New(kind, c),
@@ -105,18 +99,15 @@ func fig33(ctx context.Context) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	for i, pt := range pts {
-		p := core.Pod{Core: tech.OoO, Cores: pt.c, LLCMB: 4, Net: pt.kind}
-		model := p.PD(n, workloadSlice(pt.w))
+	for i := range cfgs {
+		c := &cfgs[i]
+		p := core.Pod{Core: tech.OoO, Cores: c.Cores, LLCMB: 4, Net: c.Net.Kind}
+		model := p.PDFrom(n, analytic.Evaluate(&c.Workload, p.Design()))
 		simPD := rs[i].AppIPC / p.Area(n)
 		errPct := 100 * (simPD - model) / model
-		t.AddRow(pt.w.Name, pt.kind.String(), itoa(pt.c), f3(simPD), f3(model), f1(errPct))
+		t.AddRow(c.Workload.Name, c.Net.Kind.String(), itoa(c.Cores), f3(simPD), f3(model), f1(errPct))
 	}
 	return t, nil
-}
-
-func workloadSlice(w workload.Workload) []workload.Workload {
-	return []workload.Workload{w}
 }
 
 // pdSweep renders Figures 3.4 (OoO) and 3.6 (in-order): suite-mean pod

@@ -1,37 +1,30 @@
-// Package metrics is a dependency-free Prometheus exporter: counter,
-// gauge, and histogram primitives collected into a Registry and
-// rendered in the Prometheus text exposition format 0.0.4 at
-// GET /metricsz. It deliberately implements only what this repository
-// scrapes — no client library, no push gateway, no protobuf — so the
-// module keeps its zero-dependency guarantee while any off-the-shelf
-// Prometheus server can collect a soprocd replica or coordinator.
+// Package metrics is a dependency-free Prometheus exporter: a Registry
+// of counter, gauge and histogram families rendered in the Prometheus
+// text exposition format 0.0.4 at GET /metricsz. It implements only
+// what this repository scrapes — no client library, no push gateway,
+// no protobuf — so the module keeps its zero-dependency guarantee while
+// any off-the-shelf Prometheus server can collect a soprocd replica or
+// coordinator.
 //
-// Two collection styles coexist:
-//
-//   - Live instruments (Counter, Gauge, Histogram) are updated on the
-//     hot path by the instrumented code — the engine's per-point
-//     latency histogram is one.
-//   - Scrape-time collectors (CounterFunc, GaugeFunc and their labeled
-//     Vec variants) read an existing snapshot source at scrape time.
-//     Every subsystem in this repository already keeps atomic counters
-//     behind a Stats() method, so most metrics are closures over those
-//     — the hot paths gain no new writes.
+// Each counter and gauge is declared once, as struct tags on the field
+// of the Stats snapshot that /statsz serializes; RegisterStats turns
+// those tags into families that read the snapshot at scrape time, so
+// the instrumented hot paths gain no writes. The one live instrument is
+// Histogram, which the engine's per-point latency histogram uses.
 //
 // The package also carries the decision-trace ring (DecisionLog): a
 // bounded in-memory log of per-point routing decisions exposed at
-// GET /v1/trace. Both live in one package because they are the two
-// halves of ROADMAP item 4(c): aggregate counters for dashboards,
-// per-request records for audits.
+// GET /v1/trace. Aggregate counters serve dashboards; per-request
+// records serve audits.
 //
-// ParseText parses the same text format back into families; the
-// metrics-contract test and cmd/soload's -lint-metrics mode use it to
-// verify that every exposed page is well-formed and conventionally
-// named.
+// ParseText parses the text format back into families, and Lint holds
+// a page to the repository's naming contract; the serve package's
+// format test and cmd/soload -lint-metrics run every page through
+// both.
 package metrics
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -51,19 +44,15 @@ const (
 	KindHistogram Kind = "histogram"
 )
 
-// Label is one name="value" pair attached to a sample.
-type Label struct {
-	// Name is the label name (a valid Prometheus label identifier).
-	Name string
-	// Value is the label value; rendering escapes \, " and newlines.
-	Value string
-}
+// label is one name="value" pair attached to a sample; rendering
+// escapes the value's \, " and newlines.
+type label struct{ name, value string }
 
 // sample is one rendered line of a family: an optional suffix
 // (histograms emit _bucket/_sum/_count), labels, and a value.
 type sample struct {
 	suffix string
-	labels []Label
+	labels []label
 	value  float64
 }
 
@@ -76,10 +65,10 @@ type family struct {
 
 // Registry holds metric families and renders them in the text
 // exposition format. The zero value is not usable; construct with
-// NewRegistry. Registration methods panic on a duplicate or invalid
-// name — a registration error is a programming error, caught by the
-// first scrape in any test — and are safe for concurrent use, as is
-// rendering.
+// NewRegistry. Registration (Histogram, RegisterStats) panics on a
+// duplicate or invalid name — a registration error is a programming
+// error, caught by the first test that registers the family — and is
+// safe for concurrent use, as is rendering.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -123,37 +112,6 @@ func (r *Registry) register(name, help string, kind Kind, collect func(emit func
 	r.families[name] = &family{name: name, help: help, kind: kind, collect: collect}
 }
 
-// Counter is a live monotonically-increasing instrument. Use the
-// returned value's Inc/Add from the instrumented code path.
-type Counter struct{ bits atomic.Uint64 }
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds delta to the counter; negative deltas are ignored (a
-// counter never decreases).
-func (c *Counter) Add(delta float64) {
-	if delta < 0 {
-		return
-	}
-	addFloat(&c.bits, delta)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// Gauge is a live instrument for a value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta (which may be negative) to the gauge.
-func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // addFloat atomically adds delta to a float64 stored as uint64 bits.
 func addFloat(bits *atomic.Uint64, delta float64) {
 	for {
@@ -186,27 +144,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Counter registers and returns a live counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(name, help, KindCounter, func(emit func(sample)) {
-		emit(sample{value: c.Value()})
-	})
-	return c
-}
-
-// Gauge registers and returns a live gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, KindGauge, func(emit func(sample)) {
-		emit(sample{value: g.Value()})
-	})
-	return g
-}
-
 // Histogram registers and returns a live histogram with the given
 // bucket upper bounds (sorted ascending; the +Inf bucket is implicit).
 // It panics if buckets is empty or unsorted.
@@ -225,77 +162,14 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 		var cum uint64
 		for i, ub := range h.uppers {
 			cum += h.counts[i].Load()
-			emit(sample{suffix: "_bucket", labels: []Label{{"le", formatValue(ub)}}, value: float64(cum)})
+			emit(sample{suffix: "_bucket", labels: []label{{"le", formatValue(ub)}}, value: float64(cum)})
 		}
 		total := h.count.Load()
-		emit(sample{suffix: "_bucket", labels: []Label{{"le", "+Inf"}}, value: float64(total)})
+		emit(sample{suffix: "_bucket", labels: []label{{"le", "+Inf"}}, value: float64(total)})
 		emit(sample{suffix: "_sum", value: math.Float64frombits(h.sum.Load())})
 		emit(sample{suffix: "_count", value: float64(total)})
 	})
 	return h
-}
-
-// CounterFunc registers a counter whose value is read from fn at
-// scrape time — the natural fit for subsystems that already keep
-// atomic counters behind a Stats() snapshot.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(name, help, KindCounter, func(emit func(sample)) {
-		emit(sample{value: fn()})
-	})
-}
-
-// GaugeFunc registers a gauge whose value is read from fn at scrape
-// time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, KindGauge, func(emit func(sample)) {
-		emit(sample{value: fn()})
-	})
-}
-
-// EmitFunc receives one labeled sample from a Vec collector. The
-// number of label values must match the label names the collector was
-// registered with; mismatches panic at scrape time.
-type EmitFunc func(value float64, labelValues ...string)
-
-// vecCollect adapts a labeled collector to the family collect shape.
-func vecCollect(name string, labelNames []string, fn func(EmitFunc)) func(emit func(sample)) {
-	return func(emit func(sample)) {
-		fn(func(value float64, labelValues ...string) {
-			if len(labelValues) != len(labelNames) {
-				panic(fmt.Sprintf("metrics: %s emitted %d label values, want %d",
-					name, len(labelValues), len(labelNames)))
-			}
-			labels := make([]Label, len(labelNames))
-			for i, n := range labelNames {
-				labels[i] = Label{Name: n, Value: labelValues[i]}
-			}
-			emit(sample{labels: labels, value: value})
-		})
-	}
-}
-
-// CounterVecFunc registers a labeled counter family whose samples are
-// produced by fn at scrape time: fn calls emit once per label
-// combination. The admission controller's per-lane counters and the
-// coordinator's per-replica counters use this.
-func (r *Registry) CounterVecFunc(name, help string, labelNames []string, fn func(EmitFunc)) {
-	for _, n := range labelNames {
-		if !validName(n) {
-			panic(fmt.Sprintf("metrics: invalid label name %q on %q", n, name))
-		}
-	}
-	r.register(name, help, KindCounter, vecCollect(name, labelNames, fn))
-}
-
-// GaugeVecFunc registers a labeled gauge family whose samples are
-// produced by fn at scrape time.
-func (r *Registry) GaugeVecFunc(name, help string, labelNames []string, fn func(EmitFunc)) {
-	for _, n := range labelNames {
-		if !validName(n) {
-			panic(fmt.Sprintf("metrics: invalid label name %q on %q", n, name))
-		}
-	}
-	r.register(name, help, KindGauge, vecCollect(name, labelNames, fn))
 }
 
 // formatValue renders a float the way Prometheus expects: shortest
@@ -339,13 +213,6 @@ func escapeHelp(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// WriteText renders every registered family in the Prometheus text
-// exposition format 0.0.4; see Text.
-func (r *Registry) WriteText(w io.Writer) error {
-	_, err := io.WriteString(w, r.Text())
-	return err
-}
-
 // render renders all families into b, sorted by name so output is
 // deterministic for a fixed set of values.
 func (r *Registry) render(w *strings.Builder) {
@@ -373,9 +240,9 @@ func (r *Registry) render(w *strings.Builder) {
 					if i > 0 {
 						w.WriteByte(',')
 					}
-					w.WriteString(l.Name)
+					w.WriteString(l.name)
 					w.WriteString(`="`)
-					w.WriteString(escapeLabel(l.Value))
+					w.WriteString(escapeLabel(l.value))
 					w.WriteByte('"')
 				}
 				w.WriteByte('}')

@@ -10,37 +10,76 @@ import (
 	"time"
 )
 
+// testLane, testPeer, testInner and testStats form a snapshot shaped
+// like the subsystems' Stats types: integer, float and bool fields, a
+// field kept off the page, a nested struct, an interface section, and
+// labeled families from a map and from a slice.
+type testLane struct {
+	Admitted int64 `metric:"soproc_test_lane_admitted_total" help:"per-lane admits"`
+}
+
+type testPeer struct {
+	Addr string `metric:"label"`
+	Down bool   `metric:"soproc_test_replica_down" help:"down flags"`
+}
+
+type testInner struct {
+	Routed int `metric:"soproc_test_routed_points_total" help:"routed"`
+}
+
+type testStats struct {
+	Points   int64   `metric:"soproc_test_points_total" help:"points handled"`
+	InFlight float64 `metric:"soproc_test_in_flight_points" help:"points in flight"`
+	Rate     float64 `metric:"-"`
+	Inner    testInner
+	Section  any
+	Lanes    map[string]testLane `metric:"lane"`
+	Peers    []testPeer          `metric:"replica"`
+}
+
+func testSnapshot() testStats {
+	return testStats{
+		Points:   3,
+		InFlight: 1.5,
+		Rate:     0.25,
+		Inner:    testInner{Routed: 42},
+		Section:  struct{ Hidden int }{7},
+		Lanes:    map[string]testLane{"interactive": {5}, `we"ird\lane`: {7}, "bulk": {2}},
+		Peers:    []testPeer{{"10.0.0.2:8080", false}, {"10.0.0.1:8080", true}},
+	}
+}
+
 // TestTextRendering locks the exposition format down: HELP/TYPE
-// comments, sorted families, label escaping, histogram expansion.
+// comments, kinds from the _total rule, sorted families, bools as 1/0,
+// map labels in key order and slice labels in slice order, label
+// escaping, and values read at scrape time rather than registration.
 func TestTextRendering(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("soproc_test_points_total", "points handled")
-	c.Add(3)
-	g := reg.Gauge("soproc_test_in_flight_points", "points in flight")
-	g.Set(2)
-	g.Add(-1)
-	reg.CounterVecFunc("soproc_test_lane_admitted_total", "per-lane admits",
-		[]string{"lane"}, func(emit EmitFunc) {
-			emit(5, "interactive")
-			emit(7, `we"ird\lane`)
-		})
+	st := testSnapshot()
+	RegisterStats(reg, func() testStats { return st })
+	st.Points = 4
 
-	text := reg.Text()
-	for _, want := range []string{
-		"# HELP soproc_test_points_total points handled\n",
-		"# TYPE soproc_test_points_total counter\n",
-		"soproc_test_points_total 3\n",
-		"soproc_test_in_flight_points 1\n",
-		`soproc_test_lane_admitted_total{lane="interactive"} 5` + "\n",
-		`soproc_test_lane_admitted_total{lane="we\"ird\\lane"} 7` + "\n",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("rendering missing %q in:\n%s", want, text)
-		}
-	}
-	// Families must render sorted by name.
-	if strings.Index(text, "soproc_test_in_flight_points") > strings.Index(text, "soproc_test_points_total") {
-		t.Errorf("families not sorted by name:\n%s", text)
+	want := `# HELP soproc_test_in_flight_points points in flight
+# TYPE soproc_test_in_flight_points gauge
+soproc_test_in_flight_points 1.5
+# HELP soproc_test_lane_admitted_total per-lane admits
+# TYPE soproc_test_lane_admitted_total counter
+soproc_test_lane_admitted_total{lane="bulk"} 2
+soproc_test_lane_admitted_total{lane="interactive"} 5
+soproc_test_lane_admitted_total{lane="we\"ird\\lane"} 7
+# HELP soproc_test_points_total points handled
+# TYPE soproc_test_points_total counter
+soproc_test_points_total 4
+# HELP soproc_test_replica_down down flags
+# TYPE soproc_test_replica_down gauge
+soproc_test_replica_down{replica="10.0.0.2:8080"} 0
+soproc_test_replica_down{replica="10.0.0.1:8080"} 1
+# HELP soproc_test_routed_points_total routed
+# TYPE soproc_test_routed_points_total counter
+soproc_test_routed_points_total 42
+`
+	if got := reg.Text(); got != want {
+		t.Errorf("page:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -84,23 +123,25 @@ func TestHistogram(t *testing.T) {
 // must come back with its kind, help, and values intact.
 func TestParseRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	reg.CounterFunc("soproc_test_routed_points_total", "routed", func() float64 { return 42 })
-	reg.GaugeVecFunc("soproc_test_replica_down", "down flags", []string{"replica"}, func(emit EmitFunc) {
-		emit(1, "10.0.0.1:8080")
-	})
+	RegisterStats(reg, testSnapshot)
 	fams, err := ParseText(reg.Text())
 	if err != nil {
 		t.Fatalf("ParseText: %v", err)
 	}
-	if v, ok := fams["soproc_test_routed_points_total"].Value(); !ok || v != 42 {
-		t.Errorf("routed counter: got %v ok=%v", v, ok)
+	routed := fams["soproc_test_routed_points_total"]
+	if v, ok := routed.Value(); !ok || v != 42 || routed.Kind != KindCounter {
+		t.Errorf("routed counter: got %v ok=%v kind %s", v, ok, routed.Kind)
 	}
-	if fams["soproc_test_routed_points_total"].Help != "routed" {
-		t.Errorf("help lost: %+v", fams["soproc_test_routed_points_total"])
+	if routed.Help != "routed" {
+		t.Errorf("help lost: %+v", routed)
 	}
 	s, ok := fams["soproc_test_replica_down"].Sample(map[string]string{"replica": "10.0.0.1:8080"})
 	if !ok || s.Value != 1 {
 		t.Errorf("replica gauge: got %+v ok=%v", s, ok)
+	}
+	s, ok = fams["soproc_test_lane_admitted_total"].Sample(map[string]string{"lane": `we"ird\lane`})
+	if !ok || s.Value != 7 {
+		t.Errorf("escaped lane: got %+v ok=%v", s, ok)
 	}
 }
 
@@ -119,10 +160,32 @@ func TestParseRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestLint checks the naming contract on a conforming page and on one
+// page per violation.
+func TestLint(t *testing.T) {
+	page := "# HELP soproc_engine_points_total points\n# TYPE soproc_engine_points_total counter\n" +
+		"soproc_engine_points_total 1\n"
+	if fams, err := Lint(page); err != nil || len(fams) != 1 {
+		t.Errorf("conforming page: %v", err)
+	}
+	for page, want := range map[string]string{
+		"":                          "no families",
+		"soproc_engine_x_total 1\n": "line 1",
+		"# HELP x_total x\n# TYPE x_total counter\nx_total 1\n":                         "naming",
+		"# HELP soproc_engine_x x\n# TYPE soproc_engine_x counter\nsoproc_engine_x 1\n": "_total",
+		"# TYPE soproc_engine_x gauge\nsoproc_engine_x 1\n":                             "HELP",
+	} {
+		_, err := Lint(page)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Lint(%q) = %v, want an error mentioning %q", page, err, want)
+		}
+	}
+}
+
 // TestHandler serves a scrape over HTTP with the 0.0.4 content type.
 func TestHandler(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("soproc_test_points_total", "points").Inc()
+	RegisterStats(reg, testSnapshot)
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
@@ -135,7 +198,7 @@ func TestHandler(t *testing.T) {
 	}
 	buf := make([]byte, 1<<16)
 	n, _ := resp.Body.Read(buf)
-	if !strings.Contains(string(buf[:n]), "soproc_test_points_total 1") {
+	if !strings.Contains(string(buf[:n]), "soproc_test_points_total 3") {
 		t.Errorf("scrape body missing counter: %s", buf[:n])
 	}
 }
@@ -143,13 +206,54 @@ func TestHandler(t *testing.T) {
 // TestDuplicateRegistrationPanics locks in fail-fast registration.
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("soproc_test_points_total", "points")
+	RegisterStats(reg, testSnapshot)
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	reg.Counter("soproc_test_points_total", "again")
+	RegisterStats(reg, func() testInner { return testInner{} })
+}
+
+// TestRegisterStatsRejectsUndeclared checks that every field shape
+// RegisterStats cannot read, or that declares no family, panics at
+// registration.
+func TestRegisterStatsRejectsUndeclared(t *testing.T) {
+	type untagged struct {
+		Points int64 `json:"points"`
+	}
+	type str struct {
+		Name string `metric:"soproc_test_name" help:"a string"`
+	}
+	type unlabeledMap struct {
+		Lanes map[string]testLane
+	}
+	type nameless struct {
+		Peers []testLane `metric:"replica"`
+	}
+	type untaggedElem struct {
+		Peers []struct {
+			Addr string `metric:"label"`
+			Sent int64
+		} `metric:"replica"`
+	}
+	for name, register := range map[string]func(*Registry){
+		"untagged numeric":          func(r *Registry) { RegisterStats(r, func() untagged { return untagged{} }) },
+		"string field":              func(r *Registry) { RegisterStats(r, func() str { return str{} }) },
+		"map without label":         func(r *Registry) { RegisterStats(r, func() unlabeledMap { return unlabeledMap{} }) },
+		"slice without label field": func(r *Registry) { RegisterStats(r, func() nameless { return nameless{} }) },
+		"untagged element field":    func(r *Registry) { RegisterStats(r, func() untaggedElem { return untaggedElem{} }) },
+		"non-struct snapshot":       func(r *Registry) { RegisterStats(r, func() int64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: registration did not panic", name)
+				}
+			}()
+			register(NewRegistry())
+		}()
+	}
 }
 
 // TestDecisionLogRing checks wraparound, ordering, and Seq continuity.

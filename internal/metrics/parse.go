@@ -1,9 +1,11 @@
 package metrics
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -59,6 +61,9 @@ func (f *ParsedFamily) Value() (float64, bool) {
 var (
 	sampleRe = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)(\{.*\})?\s+(\S+)$`)
 	labelRe  = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
+	// nameRe is the naming contract of every family this repository
+	// exports: soproc_<subsystem>_<name>, lower-snake.
+	nameRe = regexp.MustCompile(`^soproc_(engine|tier|server|store|cluster|admit)_[a-z0-9_]+$`)
 )
 
 // ParseText parses a Prometheus text exposition (0.0.4) page into its
@@ -66,8 +71,7 @@ var (
 // package renders: every sample must belong to a family declared by a
 // preceding # TYPE line (histogram samples may append _bucket, _sum,
 // _count), values must parse as floats, and label pairs must be
-// well-formed. The metrics-contract test and cmd/soload -lint-metrics
-// run every scraped page through it.
+// well-formed.
 func ParseText(page string) (map[string]*ParsedFamily, error) {
 	families := make(map[string]*ParsedFamily)
 	helps := make(map[string]string)
@@ -123,6 +127,42 @@ func ParseText(page string) (map[string]*ParsedFamily, error) {
 			return nil, fmt.Errorf("metrics: line %d: bad value %q: %v", ln+1, valueText, err)
 		}
 		fam.Samples = append(fam.Samples, ParsedSample{Name: name, Labels: labels, Value: value})
+	}
+	return families, nil
+}
+
+// Lint parses page and holds every family to the repository's naming
+// contract: a soproc_<subsystem>_<name> name, a counter name ending in
+// _total, and HELP text. It returns the families, or an error naming
+// every violation. The serve package's format test and cmd/soload
+// -lint-metrics run every page they scrape through it.
+func Lint(page string) (map[string]*ParsedFamily, error) {
+	families, err := ParseText(page)
+	if err != nil {
+		return nil, err
+	}
+	if len(families) == 0 {
+		return nil, errors.New("metrics: page has no families")
+	}
+	names := make([]string, 0, len(families))
+	for name := range families {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var errs []error
+	for _, name := range names {
+		if !nameRe.MatchString(name) {
+			errs = append(errs, fmt.Errorf("metrics: family %q violates soproc_<subsystem>_<name> naming", name))
+		}
+		if families[name].Kind == KindCounter && !strings.HasSuffix(name, "_total") {
+			errs = append(errs, fmt.Errorf("metrics: counter %q must end in _total", name))
+		}
+		if strings.TrimSpace(families[name].Help) == "" {
+			errs = append(errs, fmt.Errorf("metrics: family %q has no HELP text", name))
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	return families, nil
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"net/http"
 	"strconv"
-	"time"
 
 	"scaleout/internal/exp"
 	"scaleout/internal/metrics"
@@ -30,12 +29,13 @@ type Observability struct {
 	Trace    *metrics.DecisionLog
 }
 
-// EnableObservability builds the server's metrics registry — engine,
-// tier, and server families, plus the per-point latency histogram fed
-// by the engine's decision hook — and mounts GET /metricsz and
-// GET /v1/trace. Call exactly once, before serving and before SetTier
-// swaps in a calibrated evaluator (the decision hook follows the swap;
-// the tier metric families always read the current evaluator).
+// EnableObservability builds the server's metrics registry — the
+// engine, tier and server families declared on StatsResponse, plus the
+// per-point latency histogram fed by the engine's decision hook — and
+// mounts GET /metricsz and GET /v1/trace. Call exactly once, before
+// serving and before SetTier swaps in a calibrated evaluator (the
+// decision hook follows the swap, and the page reads the current
+// evaluator at scrape time).
 func (s *Server) EnableObservability(o ObservabilityOptions) *Observability {
 	reg := metrics.NewRegistry()
 	obs := &Observability{Registry: reg}
@@ -44,32 +44,10 @@ func (s *Server) EnableObservability(o ObservabilityOptions) *Observability {
 	}
 	s.obs = obs
 
-	exp.RegisterEngineMetrics(reg, s.eng)
+	metrics.RegisterStats(reg, s.stats)
 	hist := exp.NewPointLatencyHistogram(reg)
 	exp.ObserveDecisions(s.eng, obs.Trace, hist)
 	s.installTierHook()
-
-	// Tier families read through s.tier at scrape time, so a later
-	// SetTier (soprocd -calibration) is reflected without re-wiring.
-	reg.CounterFunc("soproc_tier_scored_points_total",
-		"points seen by the tiered evaluator",
-		func() float64 { return float64(s.tier.Stats().Scored) })
-	reg.CounterFunc("soproc_tier_surrogate_served_total",
-		"points served from the analytic surrogate in fast mode",
-		func() float64 { return float64(s.tier.Stats().SurrogateServed) })
-	reg.CounterFunc("soproc_tier_escalated_points_total",
-		"points escalated to the engine: memo, store, replicas or simulators",
-		func() float64 { return float64(s.tier.Stats().Escalated) })
-	reg.GaugeFunc("soproc_tier_regions",
-		"certified calibration regions loaded",
-		func() float64 { return float64(s.tier.Stats().Regions) })
-
-	reg.GaugeFunc("soproc_server_uptime_seconds",
-		"seconds since this server was constructed",
-		func() float64 { return time.Since(s.start).Seconds() })
-	reg.GaugeFunc("soproc_server_experiments",
-		"registered experiment IDs",
-		func() float64 { return float64(len(s.known)) })
 
 	s.mux.Handle("GET /metricsz", reg.Handler())
 	s.mux.HandleFunc("GET /v1/trace", s.handleTrace)

@@ -170,27 +170,30 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // MemoStats is the memo section of the /statsz response.
 type MemoStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
+	Hits      int64 `json:"hits" metric:"soproc_engine_memo_hits_total" help:"points served from the in-memory memo, including waits on in-flight duplicates"`
+	Misses    int64 `json:"misses" metric:"soproc_engine_points_total" help:"points computed by this engine's local worker pool (memo misses)"`
+	Evictions int64 `json:"evictions" metric:"soproc_engine_memo_evictions_total" help:"memo entries discarded to stay within capacity"`
 	// StoreHits counts memo misses answered by the persistent result
 	// store instead of the simulator; always 0 without -store.
-	StoreHits int64 `json:"store_hits,omitempty"`
-	Size      int   `json:"size"`
-	Capacity  int   `json:"capacity"` // 0 = unbounded
+	StoreHits int64 `json:"store_hits,omitempty" metric:"soproc_engine_store_hits_total" help:"memo misses answered by the persistent result store"`
+	Size      int   `json:"size" metric:"soproc_engine_memo_entries" help:"resident memo entries"`
+	Capacity  int   `json:"capacity" metric:"soproc_engine_memo_capacity_entries" help:"memo resident-entry bound (0 = unbounded)"`
 }
 
 // StatsResponse is the /statsz body. Remote counts points resolved on
 // cluster replicas rather than the local pool; Cluster is the
 // coordinator's per-replica routing snapshot (cluster.Stats) and is
-// present only when this daemon runs with -peers.
+// present only when this daemon runs with -peers. Its tags and those of
+// MemoStats and tier.Stats declare the engine, server and tier families
+// of /metricsz (metrics.RegisterStats); the Store, Cluster and Admit
+// sections register their own.
 type StatsResponse struct {
-	Workers       int       `json:"workers"`
-	InFlight      int64     `json:"in_flight"`
-	Remote        int64     `json:"remote"`
+	Workers       int       `json:"workers" metric:"soproc_engine_worker_slots" help:"worker-pool size"`
+	InFlight      int64     `json:"in_flight" metric:"soproc_engine_in_flight_points" help:"computations executing right now"`
+	Remote        int64     `json:"remote" metric:"soproc_engine_remote_points_total" help:"points resolved by the installed router on a cluster replica"`
 	Memo          MemoStats `json:"memo"`
-	Experiments   int       `json:"experiments"`
-	UptimeSeconds float64   `json:"uptime_seconds"`
+	Experiments   int       `json:"experiments" metric:"soproc_server_experiments" help:"registered experiment IDs"`
+	UptimeSeconds float64   `json:"uptime_seconds" metric:"soproc_server_uptime_seconds" help:"seconds since this server was constructed"`
 	// Tier is the tiered evaluator's per-tier point counters and
 	// escalation rate (tier.Stats).
 	Tier tier.Stats `json:"tier"`
@@ -204,9 +207,11 @@ type StatsResponse struct {
 	Admit any `json:"admit,omitempty"`
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
+// stats snapshots the engine, tier and server counters: the /statsz
+// body without its optional sections.
+func (s *Server) stats() StatsResponse {
 	st := s.eng.Stats()
-	resp := StatsResponse{
+	return StatsResponse{
 		Workers:  s.eng.Workers(),
 		InFlight: st.InFlight,
 		Remote:   st.Remote,
@@ -222,6 +227,10 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Tier:          s.tier.Stats(),
 	}
+}
+
+func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
+	resp := s.stats()
 	if s.storeStats != nil {
 		resp.Store = s.storeStats()
 	}

@@ -21,7 +21,7 @@ import (
 // the race detector: eight workers push overlapping sim batches through
 // a small-memo engine backed by a write-through store, gated by an
 // admission controller, while a scraper renders and re-parses the
-// shared metrics registry (live histogram plus scrape-time closures)
+// shared metrics registry (live histogram plus tagged Stats snapshots)
 // and the decision ring fills. Afterwards the books must balance —
 // every admission attempt accounted for, every point served by exactly
 // one of memo/store/compute, and the final scrape numerically equal to

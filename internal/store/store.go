@@ -57,6 +57,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"scaleout/internal/metrics"
 	"scaleout/internal/sim"
 )
 
@@ -434,21 +435,25 @@ type Stats struct {
 	// Loaded is the number of records Open replayed from disk — a
 	// restarted daemon reporting Loaded > 0 re-warmed from its log.
 	// Entries is the current live-key count (Loaded plus appends since).
-	Loaded  int64 `json:"loaded"`
-	Entries int   `json:"entries"`
+	Loaded  int64 `json:"loaded" metric:"soproc_store_loaded_records_total" help:"records Open replayed from disk at startup"`
+	Entries int   `json:"entries" metric:"soproc_store_entries" help:"live keys in the store index"`
 	// DiskHits and DiskMisses count Load probes — in engine terms,
 	// memo misses answered from disk vs. sent on to compute.
-	DiskHits   int64 `json:"disk_hits"`
-	DiskMisses int64 `json:"disk_misses"`
+	DiskHits   int64 `json:"disk_hits" metric:"soproc_store_disk_hits_total" help:"Load probes answered from disk (memo misses that skipped compute)"`
+	DiskMisses int64 `json:"disk_misses" metric:"soproc_store_disk_misses_total" help:"Load probes that found nothing and went on to compute"`
 	// Appends counts records written this process; Compactions the
 	// snapshot rewrites; Bytes the log's current length. SaveErrors
 	// counts appends abandoned on a write error (the log is rolled back
 	// to a record boundary each time).
-	Appends     int64 `json:"appends"`
-	Compactions int64 `json:"compactions"`
-	Bytes       int64 `json:"bytes"`
-	SaveErrors  int64 `json:"save_errors,omitempty"`
+	Appends     int64 `json:"appends" metric:"soproc_store_appends_total" help:"records written by this process"`
+	Compactions int64 `json:"compactions" metric:"soproc_store_compactions_total" help:"snapshot rewrites of the log"`
+	Bytes       int64 `json:"bytes" metric:"soproc_store_log_bytes" help:"current length of the append-only log"`
+	SaveErrors  int64 `json:"save_errors,omitempty" metric:"soproc_store_save_errors_total" help:"appends abandoned on a write error (log rolled back to a record boundary)"`
 }
+
+// RegisterMetrics registers the Stats counters on reg as the
+// soproc_store_* families, read at scrape time.
+func (s *Store) RegisterMetrics(reg *metrics.Registry) { metrics.RegisterStats(reg, s.Stats) }
 
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {

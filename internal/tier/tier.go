@@ -155,13 +155,13 @@ type Stats struct {
 	// Scored counts every point the evaluator saw. SurrogateServed were
 	// answered by the surrogate in fast mode, and Escalated went to the
 	// engine: memo, store, router or simulator.
-	Scored          int64 `json:"scored"`
-	SurrogateServed int64 `json:"surrogate_served"`
-	Escalated       int64 `json:"escalated"`
+	Scored          int64 `json:"scored" metric:"soproc_tier_scored_points_total" help:"every point the tiered evaluator received, in either mode"`
+	SurrogateServed int64 `json:"surrogate_served" metric:"soproc_tier_surrogate_served_total" help:"points served from the analytic surrogate in fast mode"`
+	Escalated       int64 `json:"escalated" metric:"soproc_tier_escalated_points_total" help:"points escalated to the engine: memo, store, replicas or simulators"`
 	// EscalationRate is Escalated/Scored (0 when nothing was scored).
-	EscalationRate float64 `json:"escalation_rate"`
+	EscalationRate float64 `json:"escalation_rate" metric:"-"`
 	// Regions counts the loaded calibration's error regions.
-	Regions int `json:"regions"`
+	Regions int `json:"regions" metric:"soproc_tier_regions" help:"certified calibration regions loaded"`
 }
 
 // Stats snapshots the evaluator's counters.
