@@ -25,7 +25,6 @@ import (
 	"scaleout/internal/store"
 	"scaleout/internal/tco"
 	"scaleout/internal/tech"
-	"scaleout/internal/tier"
 	"scaleout/internal/trace"
 	"scaleout/internal/workload"
 )
@@ -79,56 +78,44 @@ func BenchmarkTable6_2(b *testing.B) { benchExperiment(b, "table6.2") }
 // Full-harness regeneration on the experiment engine. Each iteration
 // uses a fresh engine (fresh memo), so the numbers measure real
 // simulation work; the Serial/Parallel pair tracks the speedup from the
-// concurrent sweep runner, and the Parallel/ExactTier pair the speedup
-// from serving calibrated points from the result store in exact tier
-// mode.
+// concurrent sweep runner, and the Parallel/StoreWarm pair the speedup
+// from serving every point from the persistent result store.
 
 // benchRunAll regenerates every figure per iteration on a fresh engine
-// of the given size, over st and through ev when they are non-nil.
-func benchRunAll(b *testing.B, workers int, st *store.Store, ev *tier.Evaluator) {
+// of the given size, over st when it is non-nil.
+func benchRunAll(b *testing.B, workers int, st *store.Store) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		eng := exp.New(workers)
 		if st != nil {
 			eng.SetStore(st)
 		}
-		ctx := exp.WithEngine(context.Background(), eng)
-		if ev != nil {
-			ctx = exp.WithTier(ctx, ev)
-		}
-		if _, err := figures.RunAllContext(ctx); err != nil {
+		if _, err := figures.RunAllContext(exp.WithEngine(context.Background(), eng)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkRunAllSerial(b *testing.B)   { benchRunAll(b, 1, nil, nil) }
-func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0, nil, nil) }
+func BenchmarkRunAllSerial(b *testing.B)   { benchRunAll(b, 1, nil) }
+func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0, nil) }
 
-// BenchmarkRunAllExactTier is BenchmarkRunAllParallel in exact tier
-// mode, on a result store that a calibration run over the whole figure
-// suite filled: each iteration's fresh engine serves every point from
-// disk. Calibrating — the one-off cost the store amortizes — happens
-// before the timer starts. CI requires RunAllParallel/RunAllExactTier
-// to stay above 1.3.
-func BenchmarkRunAllExactTier(b *testing.B) {
+// BenchmarkRunAllStoreWarm is BenchmarkRunAllParallel on a result store
+// an untimed first pass filled: each iteration's fresh engine serves
+// every point from disk. CI requires RunAllParallel/RunAllStoreWarm to
+// stay above 1.3.
+func BenchmarkRunAllStoreWarm(b *testing.B) {
 	st, err := store.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	cal, err := tier.Calibrate(context.Background(), tier.Options{
-		Store: st,
-		Suites: func(ctx context.Context) error {
-			_, err := figures.RunAllContext(ctx)
-			return err
-		},
-	})
-	if err != nil {
+	eng := exp.New(0)
+	eng.SetStore(st)
+	if _, err := figures.RunAllContext(exp.WithEngine(context.Background(), eng)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	benchRunAll(b, 0, st, tier.New(cal, tier.Exact))
+	benchRunAll(b, 0, st)
 }
 
 // Substrate microbenchmarks. The kernel pairs (event vs lock-step

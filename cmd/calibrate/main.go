@@ -50,7 +50,6 @@ import (
 func main() {
 	out := flag.String("out", "", "write calibration JSON here and skip the validation tables")
 	regions := flag.Int("regions", tier.DefaultGranularity, "error-region granularity: 1 = kind/core, 2 = +net, 3 = +cores/LLC buckets")
-	safety := flag.Float64("safety", tier.DefaultSafety, "band margin multiplied into each region's max observed error")
 	coresList := flag.String("cores", "16,32,64", "comma-separated core counts for the calibration grid (with -out)")
 	llcList := flag.String("llc", "2,4,8", "comma-separated LLC sizes in MB for the calibration grid (with -out)")
 	netsList := flag.String("nets", "crossbar,mesh", "comma-separated interconnects for the calibration grid (with -out)")
@@ -61,7 +60,7 @@ func main() {
 	flag.Parse()
 
 	if *out != "" {
-		if err := runHarness(*out, *regions, *safety, *coresList, *llcList, *netsList, *withFigures, *parallel, *useStore, *storeDir); err != nil {
+		if err := runHarness(*out, *regions, *coresList, *llcList, *netsList, *withFigures, *parallel, *useStore, *storeDir); err != nil {
 			fail(err)
 		}
 		return
@@ -73,7 +72,7 @@ func main() {
 
 // runHarness is the error-bounding calibration: grid + optional figure
 // suite through tier.Calibrate, summary on stdout, JSON to out.
-func runHarness(out string, regions int, safety float64, coresList, llcList, netsList string, withFigures bool, parallel int, useStore bool, storeDir string) error {
+func runHarness(out string, regions int, coresList, llcList, netsList string, withFigures bool, parallel int, useStore bool, storeDir string) error {
 	cores, err := parseInts(coresList)
 	if err != nil {
 		return fmt.Errorf("-cores: %w", err)
@@ -91,7 +90,6 @@ func runHarness(out string, regions int, safety float64, coresList, llcList, net
 		LLCMB:       llc,
 		Nets:        nets,
 		Granularity: regions,
-		Safety:      safety,
 		Workers:     parallel,
 	}
 	if useStore {
@@ -167,20 +165,11 @@ func parseFloats(s string) ([]float64, error) {
 func parseNets(s string) ([]noc.Kind, error) {
 	var out []noc.Kind
 	for _, f := range strings.Split(s, ",") {
-		switch strings.ToLower(strings.TrimSpace(f)) {
-		case "ideal":
-			out = append(out, noc.Ideal)
-		case "crossbar":
-			out = append(out, noc.Crossbar)
-		case "mesh":
-			out = append(out, noc.Mesh)
-		case "flattened-butterfly", "fbfly":
-			out = append(out, noc.FlattenedButterfly)
-		case "noc-out", "nocout":
-			out = append(out, noc.NOCOut)
-		default:
-			return nil, fmt.Errorf("unknown net %q", f)
+		k, err := noc.ParseKind(strings.TrimSpace(f))
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, k)
 	}
 	return out, nil
 }

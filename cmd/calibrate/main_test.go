@@ -11,9 +11,9 @@ import (
 	"scaleout/internal/workload"
 )
 
-// The summary's certification bound is the tiered evaluator's: in fast
-// mode a region at the bound answers from the surrogate, and one just
-// above it escalates. The context is cancelled, so an escalated point
+// The summary's certification bound is the tiered evaluator's: a
+// region at the bound answers from the surrogate, and one just above it
+// escalates. The context is cancelled, so an escalated point
 // stops at the engine instead of simulating.
 func TestCertifiableMatchesTier(t *testing.T) {
 	cfgs := []sim.Config{{Workload: workload.Suite()[0], CoreType: tech.OoO, Cores: 16, LLCMB: 4}}
@@ -26,7 +26,7 @@ func TestCertifiableMatchesTier(t *testing.T) {
 		ev := tier.New(&tier.Calibration{
 			Granularity: 1,
 			Regions:     []tier.Region{{Key: "sim/OoO", Samples: 1, MaxRelErr: c.maxRelErr}},
-		}, tier.Fast)
+		})
 		ev.Sims(ctx, cfgs)
 		if served := ev.Stats().SurrogateServed == 1; served != c.served {
 			t.Errorf("region with max rel err %v: surrogate-served %v, want %v", c.maxRelErr, served, c.served)

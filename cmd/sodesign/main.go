@@ -39,11 +39,11 @@ func main() {
 	flag.Parse()
 
 	ws := workload.Suite()
-	coreType, err := parseCore(*coreFlag)
+	coreType, err := tech.ParseCoreType(*coreFlag)
 	check(err)
 	node, err := parseNode(*nodeFlag, *dies)
 	check(err)
-	kind, err := parseNet(*netFlag)
+	kind, err := noc.ParseKind(*netFlag)
 	check(err)
 
 	if *sweep {
@@ -134,19 +134,6 @@ func runTCO(c core.ScaleOutChip, memGB int, ws []workload.Workload) {
 	fmt.Printf("  perf/TCO %.0f  perf/Watt %.1f\n", dc.PerfPerTCO(), dc.PerfPerWatt())
 }
 
-func parseCore(s string) (tech.CoreType, error) {
-	switch strings.ToLower(s) {
-	case "conventional", "conv":
-		return tech.Conventional, nil
-	case "ooo", "out-of-order":
-		return tech.OoO, nil
-	case "inorder", "in-order", "io":
-		return tech.InOrder, nil
-	default:
-		return 0, fmt.Errorf("unknown core type %q", s)
-	}
-}
-
 func parseNode(s string, dies int) (tech.Node, error) {
 	switch strings.ToLower(s) {
 	case "40nm", "40":
@@ -160,23 +147,6 @@ func parseNode(s string, dies int) (tech.Node, error) {
 		return tech.N40For3D(), nil
 	default:
 		return tech.Node{}, fmt.Errorf("unknown node %q", s)
-	}
-}
-
-func parseNet(s string) (noc.Kind, error) {
-	switch strings.ToLower(s) {
-	case "crossbar", "xbar":
-		return noc.Crossbar, nil
-	case "mesh":
-		return noc.Mesh, nil
-	case "ideal":
-		return noc.Ideal, nil
-	case "fbfly", "butterfly":
-		return noc.FlattenedButterfly, nil
-	case "nocout", "noc-out":
-		return noc.NOCOut, nil
-	default:
-		return 0, fmt.Errorf("unknown interconnect %q", s)
 	}
 }
 

@@ -19,19 +19,19 @@
 //	                             serves entirely from disk (milliseconds,
 //	                             byte-identical). -store-dir relocates
 //	                             the log; -stats-json dumps the engine
-//	                             and store counters for scripting
-//	soproc -all -tier exact -calibration cal.json
-//	                             tiered regeneration in exact mode: every
-//	                             point takes the engine's memo, store,
-//	                             cluster and simulator path, so output
-//	                             stays byte-identical. After calibrate
-//	                             -out cal.json -store, adding -store
-//	                             serves the whole suite from disk
+//	                             and store counters (and, with -tier
+//	                             fast, the tier's) for scripting
 //	soproc -all -tier fast -calibration cal.json
-//	                             ... serve certified interior points from
-//	                             the analytic surrogate instead, even
-//	                             when the store holds them (approximate,
-//	                             explicitly opted in)
+//	                             serve points in regions the calibration
+//	                             certifies from the analytic surrogate,
+//	                             even when the store holds them
+//	                             (approximate, explicitly opted in); the
+//	                             rest take the engine's memo, store,
+//	                             cluster and simulator path. The default,
+//	                             -tier exact, is that path for every
+//	                             point and takes no -calibration; after
+//	                             calibrate -out cal.json -store, a -store
+//	                             run serves the whole suite from disk
 //	soproc -all -trace-level decisions -trace-out trace.jsonl
 //	                             stream one JSON line per engine decision
 //	                             (memo hit, store hit, remote, simulated,
@@ -79,11 +79,11 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort if regeneration exceeds this duration (0 = none)")
 	verbose := flag.Bool("v", false, "report engine statistics on stderr")
 	peers := flag.String("peers", "", "comma-separated soprocd replicas (host:port) to shard simulator points across")
-	tierName := flag.String("tier", "off", "tiered evaluation: off | exact (genuine simulator results, byte-identical) | fast (surrogate for certified interior points)")
-	calPath := flag.String("calibration", "", "calibration.json from cmd/calibrate (with -tier)")
+	tierName := flag.String("tier", "exact", "evaluation tier: exact (genuine simulator results) | fast (surrogate for points in certified regions)")
+	calPath := flag.String("calibration", "", "calibration.json from cmd/calibrate (with -tier fast)")
 	useStore := flag.Bool("store", false, "persist simulator results in -store-dir; a later run serves matching points from disk instead of re-simulating")
 	storeDir := flag.String("store-dir", store.DefaultDir, "persistent result store directory (with -store)")
-	statsJSON := flag.String("stats-json", "", "write engine and store statistics as JSON to this path after the run")
+	statsJSON := flag.String("stats-json", "", "write engine statistics, plus store, tier and cluster statistics when enabled, as JSON to this path after the run")
 	traceLevel := flag.String("trace-level", "off", "decision tracing: off, or decisions to stream one JSON line per engine decision to -trace-out")
 	traceOut := flag.String("trace-out", "", "decision-trace destination path (with -trace-level decisions; empty = stderr)")
 	flag.Parse()
@@ -133,14 +133,14 @@ func main() {
 		eng.SetRoute(coord.Route)
 	}
 	ctx := exp.WithEngine(context.Background(), eng)
+	mode, ok := tier.ParseMode(*tierName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "soproc: unknown -tier %q (want exact or fast)\n", *tierName)
+		flag.Usage()
+		os.Exit(2)
+	}
 	var ev *tier.Evaluator
-	if *tierName != "off" {
-		mode, ok := tier.ParseMode(*tierName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "soproc: unknown -tier %q (want off, exact, or fast)\n", *tierName)
-			flag.Usage()
-			os.Exit(2)
-		}
+	if mode == tier.Fast {
 		var cal *tier.Calibration
 		if *calPath != "" {
 			cal, err = tier.Load(*calPath)
@@ -148,10 +148,10 @@ func main() {
 				fail(err)
 			}
 		}
-		ev = tier.New(cal, mode)
+		ev = tier.New(cal)
 		ctx = exp.WithTier(ctx, ev)
 	} else if *calPath != "" {
-		fmt.Fprintln(os.Stderr, "soproc: -calibration requires -tier exact or -tier fast")
+		fmt.Fprintln(os.Stderr, "soproc: -calibration requires -tier fast")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -187,7 +187,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *statsJSON != "" {
-		if err := writeStatsJSON(*statsJSON, eng, st, coord); err != nil {
+		if err := writeStatsJSON(*statsJSON, eng, st, ev, coord); err != nil {
 			fail(err)
 		}
 	}
@@ -217,12 +217,13 @@ func main() {
 }
 
 // writeStatsJSON dumps the run's engine (and, with -store, store; with
-// -peers, cluster) counters as JSON — the machine-readable form CI
-// asserts on: a disk-warm run must show engine.misses == 0 while
-// store.disk_hits covers every simulator point, and a clustered run
+// -tier fast, tier; with -peers, cluster) counters as JSON — the
+// machine-readable form CI asserts on: a disk-warm run must show
+// engine.misses == 0 while store.disk_hits covers every simulator
+// point, a fast run must serve surrogate points, and a clustered run
 // must show cluster.unroutable == 0 with engine.remote > 0 (every
 // point representable on the wire and computed on a replica).
-func writeStatsJSON(path string, eng *exp.Engine, st *store.Store, coord *cluster.Coordinator) error {
+func writeStatsJSON(path string, eng *exp.Engine, st *store.Store, ev *tier.Evaluator, coord *cluster.Coordinator) error {
 	es := eng.Stats()
 	var dump struct {
 		Engine struct {
@@ -232,6 +233,7 @@ func writeStatsJSON(path string, eng *exp.Engine, st *store.Store, coord *cluste
 			Remote    int64 `json:"remote"`
 		} `json:"engine"`
 		Store   *store.Stats   `json:"store,omitempty"`
+		Tier    *tier.Stats    `json:"tier,omitempty"`
 		Cluster *cluster.Stats `json:"cluster,omitempty"`
 	}
 	dump.Engine.Hits = es.Hits
@@ -241,6 +243,10 @@ func writeStatsJSON(path string, eng *exp.Engine, st *store.Store, coord *cluste
 	if st != nil {
 		ss := st.Stats()
 		dump.Store = &ss
+	}
+	if ev != nil {
+		ts := ev.Stats()
+		dump.Tier = &ts
 	}
 	if coord != nil {
 		cs := coord.Stats()

@@ -13,10 +13,11 @@
 //	soprocd -peers host:a,host:b     coordinate: shard sweep points across
 //	                                 those soprocd replicas by fingerprint
 //	soprocd -calibration cal.json    load a cmd/calibrate error table:
-//	                                 its certified regions enable
-//	                                 tier:"fast" sweep requests (exact
-//	                                 requests read only the memo and,
-//	                                 with -store, the result store)
+//	                                 its certified regions answer
+//	                                 tier:"fast" sweep requests from the
+//	                                 surrogate (without it, fast requests
+//	                                 escalate every point; exact requests
+//	                                 and /v1/exp never use the table)
 //	soprocd -store                   persist results in the .sostore/ log
 //	                                 (-store-dir relocates it): a restart
 //	                                 re-warms its shard from disk before
@@ -150,7 +151,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("soprocd: %v", err)
 		}
-		srv.SetTier(tier.New(cal, tier.Exact))
+		srv.SetTier(tier.New(cal))
 		log.Printf("soprocd: calibration %s: %d regions", *calPath, len(cal.Regions))
 	}
 	if *peers != "" {

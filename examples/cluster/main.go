@@ -120,16 +120,16 @@ func main() {
 
 	// Tiered evaluation over the same cluster: calibrate a small grid,
 	// then sweep structural configurations at an uncalibrated seed in
-	// fast mode under a top-4 rank-edge decision. Certified interior
-	// points are answered from the analytic surrogate on the
-	// coordinator; only escalated points become routable work.
+	// fast mode. Points in certified regions are answered from the
+	// analytic surrogate on the coordinator; only escalated points
+	// become routable work.
 	cal, err := tier.Calibrate(context.Background(), tier.Options{
 		Cores: []int{16}, LLCMB: []float64{2, 4, 8}, Nets: []noc.Kind{noc.Crossbar},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ev := tier.New(cal, tier.Fast)
+	ev := tier.New(cal)
 	var sweep []sim.StructuralConfig
 	for _, w := range workload.Suite() {
 		for _, llc := range []float64{2, 4, 8} {
@@ -139,7 +139,7 @@ func main() {
 		}
 	}
 	before := coord.Stats()
-	if _, _, err := ev.StructuralsDecided(exp.WithEngine(context.Background(), eng), sweep, tier.TopK{K: 4}); err != nil {
+	if _, err := ev.Structurals(exp.WithEngine(context.Background(), eng), sweep); err != nil {
 		log.Fatal(err)
 	}
 	ts := ev.Stats()

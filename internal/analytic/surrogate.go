@@ -34,7 +34,7 @@ func DesignFor(core tech.CoreType, cores int, llcMB float64, net noc.Config) Des
 // counts, queueing latencies) are absent — the tiered evaluator fills a
 // surrogate-served result only with these predicted fields.
 type Estimate struct {
-	AppIPC     float64 // aggregate application IPC (the decision score)
+	AppIPC     float64 // aggregate application IPC (the calibrated score)
 	PerCoreIPC float64
 	OffChipGBs float64
 	L1IMPKI    float64 // predicted L1-I misses/kilo-instruction (structural view)
@@ -67,9 +67,9 @@ type SurrogateSpec struct {
 
 // Surrogate predicts the simulators' headline metrics for one
 // configuration in microseconds instead of milliseconds. It is the
-// scoring function of the tiered evaluator: every sweep point is scored
-// here first, and only points whose score lands near a decision
-// boundary (within the calibrated error band) pay for the simulator.
+// fast tier's answer (internal/tier): a point in a region the
+// calibration certifies is served from here, and every other point
+// pays for the simulator.
 func Surrogate(spec SurrogateSpec) Estimate {
 	w, d := &spec.Workload, spec.Design
 	acc := w.AccessBreakdown(d.Core, d.LLCMB, d.Cores)

@@ -258,7 +258,7 @@ func New(peers []string, opts ...Option) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: duplicate peer %q", p)
 		}
 		seen[base] = true
-		c.replicas = append(c.replicas, &replica{addr: p, base: base})
+		c.replicas = append(c.replicas, &replica{addr: p, base: base, hash: fnv64a(base)})
 	}
 	if len(c.replicas) == 0 {
 		return nil, fmt.Errorf("cluster: no peers")
@@ -270,6 +270,7 @@ func New(peers []string, opts ...Option) (*Coordinator, error) {
 type replica struct {
 	addr string // as configured (-peers)
 	base string // http://host:port
+	hash uint64 // fnv64a(base): the replica's half of every rendezvous score
 
 	downUntil atomic.Int64 // unix nanos; 0 = healthy
 	probing   atomic.Bool  // a health-probe goroutine is active
@@ -544,19 +545,19 @@ func (c *Coordinator) probeHealthz(rep *replica) bool {
 // rank orders the replicas by rendezvous weight for key, highest first:
 // the first entry owns the key, the rest are its failover order. Every
 // coordinator computes the same ranking from the peer list alone, and
-// removing one replica re-homes only the keys it owned.
+// removing one replica re-homes only the keys it owned. A replica's
+// weight is the splitmix64 finalizer of its base's hash XOR the key's,
+// so the weights of different keys are independent: hashing base and
+// key as one string would correlate them.
 func (c *Coordinator) rank(key string) []*replica {
 	type scored struct {
 		rep   *replica
 		score uint64
 	}
+	kh := fnv64a(key)
 	sc := make([]scored, len(c.replicas))
 	for i, rep := range c.replicas {
-		h := fnv.New64a()
-		io.WriteString(h, rep.base)
-		h.Write([]byte{0})
-		io.WriteString(h, key)
-		sc[i] = scored{rep, h.Sum64()}
+		sc[i] = scored{rep, mix64(rep.hash ^ kh)}
 	}
 	sort.Slice(sc, func(i, j int) bool {
 		if sc[i].score != sc[j].score {
@@ -569,6 +570,21 @@ func (c *Coordinator) rank(key string) []*replica {
 		out[i] = s.rep
 	}
 	return out
+}
+
+// fnv64a is the 64-bit FNV-1a hash of s.
+func fnv64a(s string) uint64 {
+	h := fnv.New64a()
+	io.WriteString(h, s)
+	return h.Sum64()
+}
+
+// mix64 is the splitmix64 finalizer: a bijection on uint64 whose every
+// output bit depends on every input bit.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // rankOf returns rep's position in the ranked rendezvous order

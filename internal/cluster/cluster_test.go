@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -303,6 +305,69 @@ func TestRendezvousRedistribution(t *testing.T) {
 	if moved == 0 || moved == 200 {
 		t.Fatalf("b owned %d/200 keys; the hash is not spreading", moved)
 	}
+}
+
+// TestRendezvousIndependentScores: over random loopback replica sets
+// and random point keys, the rate at which some replica owns none of a
+// request's keys is the rate independent scores predict, and removing
+// a replica re-homes only the keys it owned.
+func TestRendezvousIndependentScores(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const trials = 20000
+	for _, c := range []struct{ replicas, keys int }{{2, 8}, {3, 16}} {
+		// P(some replica owns no key), by inclusion–exclusion over the
+		// replicas left empty.
+		want, sign := 0.0, 1.0
+		for j := 1; j < c.replicas; j++ {
+			want += sign * binomial(c.replicas, j) * math.Pow(float64(c.replicas-j)/float64(c.replicas), float64(c.keys))
+			sign = -sign
+		}
+		empty := 0
+		for trial := 0; trial < trials; trial++ {
+			var addrs []string
+			for seen := map[int]bool{}; len(addrs) < c.replicas; {
+				if port := 1024 + rng.Intn(64512); !seen[port] {
+					seen[port] = true
+					addrs = append(addrs, fmt.Sprintf("127.0.0.1:%d", port))
+				}
+			}
+			full, err := New(addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gone := rng.Intn(c.replicas)
+			reduced, err := New(append(append([]string(nil), addrs[:gone]...), addrs[gone+1:]...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned := make(map[string]int)
+			for k := 0; k < c.keys; k++ {
+				key := fmt.Sprintf("%016x%016x%016x%016x", rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64())
+				before, after := full.rank(key)[0].addr, reduced.rank(key)[0].addr
+				owned[before]++
+				if before != addrs[gone] && before != after {
+					t.Fatalf("%v: key %s moved %s -> %s though its owner survived", addrs, key, before, after)
+				}
+			}
+			if len(owned) < c.replicas {
+				empty++
+			}
+		}
+		sd := math.Sqrt(trials * want * (1 - want))
+		t.Logf("%d replicas, %d keys: %d of %d sets left a replica empty, independence predicts %.0f ± %.0f", c.replicas, c.keys, empty, trials, trials*want, sd)
+		if got := float64(empty); math.Abs(got-trials*want) > 4.5*sd {
+			t.Errorf("%d replicas, %d keys: %d of %d sets left a replica with no key, want %.0f ± %.0f", c.replicas, c.keys, empty, trials, trials*want, 4.5*sd)
+		}
+	}
+}
+
+// binomial is n choose k.
+func binomial(n, k int) float64 {
+	r := 1.0
+	for i := 1; i <= k; i++ {
+		r = r * float64(n-k+i) / float64(i)
+	}
+	return r
 }
 
 // TestClusterWireDeltaRoutes: the configurations the legacy symbolic

@@ -7,14 +7,14 @@ import (
 )
 
 // Tier is a tiered evaluator for simulator batches: an implementation
-// (internal/tier) may answer points — when the caller opted into its
-// fast mode — from the calibrated analytic surrogate, escalating only
-// the points whose answer could change a decision to the engine. Sims
-// and Structurals consult the context's Tier (WithTier) before fanning
+// (internal/tier's fast tier) may answer points from the calibrated
+// analytic surrogate, escalating the rest to the engine. Sims and
+// Structurals consult the context's Tier (WithTier) before fanning
 // points out, so every figure generator and sweep in the repository
-// becomes tier-aware without changing its code. A Tier can also
-// observe a sweep without changing it: the calibration harness
-// installs one that samples the surrogate's error on every point.
+// becomes tier-aware without changing its code; with no Tier installed
+// they run the engine's exact path. A Tier can also observe a sweep
+// without changing it: the calibration harness installs one that
+// samples the surrogate's error on every point.
 //
 // The contract mirrors Sims/Structurals: results in input order, first
 // error aborts the batch. An implementation escalates through
@@ -32,9 +32,9 @@ type Tier interface {
 type tierKey struct{}
 
 // WithTier returns a context whose Sims/Structurals batches are
-// evaluated through t. This is how `soproc -tier` and the serve layer
-// install the tiered evaluator underneath the unmodified figure
-// generators; a nil t removes an inherited tier.
+// evaluated through t. This is how `soproc -tier fast` and a
+// `"tier": "fast"` sweep request install the fast-tier evaluator
+// underneath unmodified callers; a nil t removes an inherited tier.
 func WithTier(ctx context.Context, t Tier) context.Context {
 	return context.WithValue(ctx, tierKey{}, t)
 }

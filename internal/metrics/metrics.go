@@ -8,9 +8,10 @@
 //
 // Each counter and gauge is declared once, as struct tags on the field
 // of the Stats snapshot that /statsz serializes; RegisterStats turns
-// those tags into families that read the snapshot at scrape time, so
-// the instrumented hot paths gain no writes. The one live instrument is
-// Histogram, which the engine's per-point latency histogram uses.
+// those tags into families that read the snapshot at scrape time,
+// once per page, so the instrumented hot paths gain no writes. The one
+// live instrument is Histogram, which the engine's per-point latency
+// histogram uses.
 //
 // The package also carries the decision-trace ring (DecisionLog): a
 // bounded in-memory log of per-point routing decisions exposed at
@@ -56,11 +57,12 @@ type sample struct {
 	value  float64
 }
 
-// family is one named metric family and its scrape-time collector.
+// family is one named metric family and its scrape-time collector,
+// which reads the render's page of snapshots.
 type family struct {
 	name, help string
 	kind       Kind
-	collect    func(emit func(sample))
+	collect    func(p page, emit func(sample))
 }
 
 // Registry holds metric families and renders them in the text
@@ -100,7 +102,7 @@ func validName(name string) bool {
 }
 
 // register installs a family, panicking on duplicate or invalid names.
-func (r *Registry) register(name, help string, kind Kind, collect func(emit func(sample))) {
+func (r *Registry) register(name, help string, kind Kind, collect func(p page, emit func(sample))) {
 	if !validName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
@@ -158,7 +160,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 		}
 	}
 	h := &Histogram{uppers: uppers, counts: make([]atomic.Uint64, len(uppers))}
-	r.register(name, help, KindHistogram, func(emit func(sample)) {
+	r.register(name, help, KindHistogram, func(_ page, emit func(sample)) {
 		var cum uint64
 		for i, ub := range h.uppers {
 			cum += h.counts[i].Load()
@@ -228,10 +230,11 @@ func (r *Registry) render(w *strings.Builder) {
 	}
 	r.mu.Unlock()
 
+	p := page{}
 	for _, f := range fams {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
-		f.collect(func(s sample) {
+		f.collect(p, func(s sample) {
 			w.WriteString(f.name)
 			w.WriteString(s.suffix)
 			if len(s.labels) > 0 {

@@ -83,6 +83,45 @@ soproc_test_routed_points_total 42
 	}
 }
 
+// TestSnapshotOncePerRender: one render takes each snapshot once, so
+// every family of a snapshot — top-level, nested and labeled — reports
+// the same instant, and the next render takes a fresh one.
+func TestSnapshotOncePerRender(t *testing.T) {
+	reg := NewRegistry()
+	calls := 0
+	RegisterStats(reg, func() testStats {
+		calls++
+		n := int64(calls)
+		return testStats{
+			Points:   n,
+			InFlight: float64(n),
+			Inner:    testInner{Routed: int(n)},
+			Lanes:    map[string]testLane{"bulk": {n}, "interactive": {n}},
+		}
+	})
+	for render := 1; render <= 2; render++ {
+		fams, err := ParseText(reg.Text())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != render {
+			t.Fatalf("after %d renders the snapshot was taken %d times", render, calls)
+		}
+		samples := 0
+		for _, f := range fams {
+			for _, s := range f.Samples {
+				samples++
+				if s.Value != float64(render) {
+					t.Errorf("render %d: %s%v = %v, want %d", render, s.Name, s.Labels, s.Value, render)
+				}
+			}
+		}
+		if samples != 5 {
+			t.Errorf("render %d: %d samples, want 5", render, samples)
+		}
+	}
+}
+
 // TestHistogram checks cumulative bucket expansion and sum/count.
 func TestHistogram(t *testing.T) {
 	reg := NewRegistry()

@@ -21,26 +21,45 @@ import (
 //     sorted order, are the label values; a slice element names itself
 //     with a string field tagged `metric:"label"`.
 //
-// Every family calls snapshot when the page renders, so the hot paths
-// that keep the counters gain no writes. RegisterStats panics on a
-// numeric field with no tag, on a field kind it does not support, and
-// on a duplicate name, so a counter added to a snapshot without a
+// A render calls snapshot once and every family of the struct reads
+// that one value, so the hot paths that keep the counters gain no
+// writes and one page never mixes two instants. RegisterStats panics
+// on a numeric field with no tag, on a field kind it does not support,
+// and on a duplicate name, so a counter added to a snapshot without a
 // family fails the first test that registers the snapshot.
 func RegisterStats[T any](reg *Registry, snapshot func() T) {
 	typ := reflect.TypeOf((*T)(nil)).Elem()
 	if typ.Kind() != reflect.Struct {
 		panic(fmt.Sprintf("metrics: RegisterStats needs a struct snapshot, not %s", typ))
 	}
-	registerStruct(reg, typ, func() reflect.Value { return reflect.ValueOf(snapshot()) })
+	src := &source{take: func() reflect.Value { return reflect.ValueOf(snapshot()) }}
+	registerStruct(reg, typ, func(p page) reflect.Value { return p.value(src) })
+}
+
+// source is one RegisterStats snapshot function.
+type source struct{ take func() reflect.Value }
+
+// page holds the value of each source taken during one render, so
+// every family of a source reads the same snapshot.
+type page map[*source]reflect.Value
+
+// value returns src's snapshot for this render, taking it on first use.
+func (p page) value(src *source) reflect.Value {
+	v, ok := p[src]
+	if !ok {
+		v = src.take()
+		p[src] = v
+	}
+	return v
 }
 
 // registerStruct registers the families of struct type typ, whose
-// current value get returns.
-func registerStruct(reg *Registry, typ reflect.Type, get func() reflect.Value) {
+// value during a render get returns.
+func registerStruct(reg *Registry, typ reflect.Type, get func(page) reflect.Value) {
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		name := f.Tag.Get("metric")
-		field := func() reflect.Value { return get().Field(i) }
+		field := func(p page) reflect.Value { return get(p).Field(i) }
 		switch kind := f.Type.Kind(); {
 		case name == "-", kind == reflect.Interface:
 		case kind == reflect.Struct:
@@ -48,8 +67,8 @@ func registerStruct(reg *Registry, typ reflect.Type, get func() reflect.Value) {
 		case kind == reflect.Map, kind == reflect.Slice:
 			registerLabeled(reg, f, field)
 		case numeric(kind) && name != "":
-			reg.register(name, f.Tag.Get("help"), kindOf(name), func(emit func(sample)) {
-				emit(sample{value: number(field())})
+			reg.register(name, f.Tag.Get("help"), kindOf(name), func(p page, emit func(sample)) {
+				emit(sample{value: number(field(p))})
 			})
 		default:
 			panic(fmt.Sprintf("metrics: %s.%s: %s field is untagged or unsupported", typ, f.Name, kind))
@@ -58,8 +77,9 @@ func registerStruct(reg *Registry, typ reflect.Type, get func() reflect.Value) {
 }
 
 // registerLabeled registers the labeled families of f, a map or slice
-// of structs whose metric tag names the label, given f's current value.
-func registerLabeled(reg *Registry, f reflect.StructField, get func() reflect.Value) {
+// of structs whose metric tag names the label, given f's value during
+// a render.
+func registerLabeled(reg *Registry, f reflect.StructField, get func(page) reflect.Value) {
 	labelName, elem := f.Tag.Get("metric"), f.Type.Elem()
 	if !validName(labelName) || elem.Kind() != reflect.Struct ||
 		f.Type.Kind() == reflect.Map && f.Type.Key().Kind() != reflect.String {
@@ -84,8 +104,8 @@ func registerLabeled(reg *Registry, f reflect.StructField, get func() reflect.Va
 	for _, j := range values {
 		ef := elem.Field(j)
 		name := ef.Tag.Get("metric")
-		reg.register(name, ef.Tag.Get("help"), kindOf(name), func(emit func(sample)) {
-			v := get()
+		reg.register(name, ef.Tag.Get("help"), kindOf(name), func(p page, emit func(sample)) {
+			v := get(p)
 			if v.Kind() == reflect.Map {
 				keys := v.MapKeys()
 				sort.Slice(keys, func(a, b int) bool { return keys[a].String() < keys[b].String() })

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -273,5 +274,29 @@ func TestReplySerializationCycles(t *testing.T) {
 	}
 	if New(Mesh, 64).ReplySerializationCycles() <= New(Crossbar, 16).ReplySerializationCycles() {
 		t.Fatal("flit-serialized mesh reply should cost more than the wide crossbar datapath")
+	}
+}
+
+// ParseKind takes every wire token, in any case, and each alias the
+// CLIs and the sweep API accept; anything else is an error.
+func TestParseKind(t *testing.T) {
+	for _, k := range []Kind{Ideal, Crossbar, Mesh, FlattenedButterfly, NOCOut} {
+		for _, name := range []string{k.WireName(), strings.ToUpper(k.WireName())} {
+			if got, err := ParseKind(name); err != nil || got != k {
+				t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, k)
+			}
+		}
+	}
+	for name, want := range map[string]Kind{
+		"xbar": Crossbar, "fbfly": FlattenedButterfly, "Butterfly": FlattenedButterfly, "nocout": NOCOut,
+	} {
+		if got, err := ParseKind(name); err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "token-ring", " mesh"} {
+		if _, err := ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) accepted", name)
+		}
 	}
 }

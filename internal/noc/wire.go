@@ -1,6 +1,9 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // WireName returns the kind's canonical wire token — the lower-case
 // name the sweep API and the versioned simulator wire form
@@ -24,8 +27,8 @@ func (k Kind) WireName() string {
 }
 
 // ParseWireKind resolves a canonical wire token (WireName) back to its
-// Kind; ok is false for anything else, including the human-friendly
-// aliases some CLIs accept.
+// Kind; ok is false for anything else, including the aliases ParseKind
+// accepts.
 func ParseWireKind(name string) (Kind, bool) {
 	switch name {
 	case "ideal":
@@ -41,6 +44,27 @@ func ParseWireKind(name string) (Kind, bool) {
 	default:
 		return 0, false
 	}
+}
+
+// ParseKind resolves a human-typed interconnect name, in any case: the
+// wire token (WireName) or an alias — "xbar" for crossbar, "fbfly" or
+// "butterfly" for flattened-butterfly, "nocout" for noc-out. The CLIs
+// and the sweep API's short form use it; wire decoders use the strict
+// ParseWireKind.
+func ParseKind(name string) (Kind, error) {
+	token := strings.ToLower(name)
+	switch token {
+	case "xbar":
+		token = "crossbar"
+	case "fbfly", "butterfly":
+		token = "flattened-butterfly"
+	case "nocout":
+		token = "noc-out"
+	}
+	if k, ok := ParseWireKind(token); ok {
+		return k, nil
+	}
+	return 0, fmt.Errorf("unknown interconnect %q (want ideal, crossbar, mesh, flattened-butterfly or noc-out)", name)
 }
 
 // Wire is the complete JSON form of a Config: every field the

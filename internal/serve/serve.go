@@ -76,9 +76,9 @@ type Server struct {
 	known map[string]bool // registered experiment IDs
 	start time.Time
 
-	// tier is the tiered evaluator every sweep and experiment runs
-	// through. New installs an uncalibrated evaluator (exact mode —
-	// behaviour and output identical to direct simulation); SetTier
+	// tier is the fast-tier evaluator that answers tier "fast" sweeps;
+	// experiments and exact sweeps run on the bare engine. New installs
+	// an uncalibrated evaluator, which escalates every point; SetTier
 	// swaps in a calibrated one (soprocd -calibration).
 	tier *tier.Evaluator
 
@@ -117,15 +117,13 @@ func (s *Server) SetStoreStats(fn func() any) { s.storeStats = fn }
 // default) omits the section.
 func (s *Server) SetClusterStats(fn func() any) { s.clusterStats = fn }
 
-// SetTier replaces the server's tiered evaluator — how soprocd installs
-// one loaded with a calibration file. Call before serving; a nil ev
-// restores the uncalibrated default. The evaluator's default mode
-// applies to /v1/exp (always exact, preserving byte-identity with the
-// CLI); /v1/sweep requests select their mode per request via the tier
-// field.
+// SetTier replaces the server's fast-tier evaluator — how soprocd
+// installs one loaded with a calibration file. Call before serving; a
+// nil ev restores the uncalibrated default. Only /v1/sweep requests
+// with tier "fast" use it; /v1/exp and exact sweeps run on the engine.
 func (s *Server) SetTier(ev *tier.Evaluator) {
 	if ev == nil {
-		ev = tier.New(nil, tier.Exact)
+		ev = tier.New(nil)
 	}
 	s.tier = ev
 	s.installTierHook()
@@ -142,7 +140,7 @@ func New(eng *exp.Engine) *Server {
 		mux:   http.NewServeMux(),
 		known: make(map[string]bool),
 		start: time.Now(),
-		tier:  tier.New(nil, tier.Exact),
+		tier:  tier.New(nil),
 	}
 	for _, id := range figures.IDs() {
 		s.known[id] = true
@@ -270,11 +268,10 @@ func (s *Server) handleExp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Experiments always run through the tiered evaluator in exact mode:
-	// every value is a genuine simulator result (from the memo, the
-	// store, a replica or the simulator), so the body stays
-	// byte-identical to the CLI's.
-	ctx := exp.WithTier(tier.WithMode(exp.WithEngine(r.Context(), s.eng), tier.Exact), s.tier)
+	// Experiments always run on the bare engine: every value is a
+	// genuine simulator result (from the memo, the store, a replica or
+	// the simulator), so the body stays byte-identical to the CLI's.
+	ctx := exp.WithEngine(r.Context(), s.eng)
 	var tables []figures.Table
 	if id == "all" {
 		tables, err = figures.RunAllContext(ctx)
@@ -363,9 +360,9 @@ type SweepPoint struct {
 // tier: "exact" (the default, also the empty string) answers every
 // point with a genuine simulator result — from the memo or the
 // persistent store when the fingerprint is there, otherwise simulated —
-// while "fast" serves calibration-certified interior points from the
-// analytic surrogate, tagged source:"surrogate" in the result. Unknown
-// tier names are rejected with 400.
+// while "fast" serves calibration-certified points from the analytic
+// surrogate, tagged source:"surrogate" in the result. Unknown tier
+// names are rejected with 400.
 type SweepRequest struct {
 	Tier   string       `json:"tier,omitempty"`
 	Points []SweepPoint `json:"points"`
@@ -434,9 +431,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Group the points by simulator kind: each group is one batch
-	// through the tiered evaluator, which in fast mode serves certified
-	// points from the surrogate and escalates the rest to the engine.
+	// Group the points by simulator kind: each group is one batch, on
+	// the engine for an exact request, or through the fast-tier
+	// evaluator, which serves certified points from the surrogate and
+	// escalates the rest to the engine.
 	kinds := make([]string, len(req.Points))
 	var simIdx []int
 	var simCfgs []sim.Config
@@ -472,7 +470,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx := tier.WithMode(exp.WithEngine(r.Context(), s.eng), mode)
+	ctx := exp.WithEngine(r.Context(), s.eng)
+	if mode == tier.Fast {
+		ctx = exp.WithTier(ctx, s.tier)
+	}
 	if r.Header.Get(ForwardedHeader) != "" {
 		// Already forwarded once by a coordinator: compute here, never
 		// re-route, so a peer cycle cannot bounce work forever.
@@ -486,7 +487,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := s.tier.Sims(ctx, simCfgs)
+			res, err := exp.Sims(ctx, simCfgs)
 			if err != nil {
 				errs[0] = err
 				return
@@ -501,7 +502,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := s.tier.Structurals(ctx, structCfgs)
+			res, err := exp.Structurals(ctx, structCfgs)
 			if err != nil {
 				errs[1] = err
 				return
@@ -582,7 +583,7 @@ func (p SweepPoint) config() (kind string, cfg any, err error) {
 		return "", nil, fmt.Errorf("unknown workload %q (want one of: %s)",
 			p.Workload, strings.Join(workload.Names(), ", "))
 	}
-	core, err := parseCore(p.Core)
+	core, err := tech.ParseCoreType(p.Core)
 	if err != nil {
 		return "", nil, err
 	}
@@ -636,20 +637,9 @@ func (p SweepPoint) net() (noc.Config, error) {
 		}
 		return noc.Config{}, nil
 	}
-	var kind noc.Kind
-	switch strings.ToLower(p.Net) {
-	case "ideal":
-		kind = noc.Ideal
-	case "crossbar":
-		kind = noc.Crossbar
-	case "mesh":
-		kind = noc.Mesh
-	case "flattened-butterfly", "fbfly":
-		kind = noc.FlattenedButterfly
-	case "noc-out", "nocout":
-		kind = noc.NOCOut
-	default:
-		return noc.Config{}, fmt.Errorf("unknown net %q (want ideal, crossbar, mesh, flattened-butterfly, or noc-out)", p.Net)
+	kind, err := noc.ParseKind(p.Net)
+	if err != nil {
+		return noc.Config{}, err
 	}
 	if p.LLCTiles != 0 && kind != noc.NOCOut {
 		return noc.Config{}, fmt.Errorf("llc_tiles applies to net \"noc-out\" only")
@@ -662,19 +652,6 @@ func (p SweepPoint) net() (noc.Config, error) {
 		cfg = cfg.WithLinkBits(p.LinkBits)
 	}
 	return cfg, nil
-}
-
-func parseCore(name string) (tech.CoreType, error) {
-	switch strings.ToLower(name) {
-	case "conventional":
-		return tech.Conventional, nil
-	case "ooo", "out-of-order":
-		return tech.OoO, nil
-	case "in-order", "inorder":
-		return tech.InOrder, nil
-	default:
-		return 0, fmt.Errorf("unknown core %q (want conventional, ooo, or in-order)", name)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -40,8 +40,8 @@ func TestSweepUnknownTier(t *testing.T) {
 	}
 }
 
-// The default (exact, uncalibrated) sweep path returns exactly what the
-// simulator returns — the evaluator is invisible.
+// The default (exact) sweep path returns exactly what the simulator
+// returns: it runs on the engine, without the evaluator.
 func TestSweepExactMatchesDirect(t *testing.T) {
 	s := New(exp.New(1))
 	pt := SweepPoint{Workload: workload.WebSearch, Core: "ooo", Cores: 4, LLCMB: 2}
@@ -66,18 +66,12 @@ func TestSweepExactMatchesDirect(t *testing.T) {
 	}
 }
 
-// tier:"fast" against a calibrated evaluator serves certified interior
-// points from the surrogate, tagged in the wire result; the same
-// request without the tier field stays exact.
+// tier:"fast" against a calibrated evaluator serves certified points
+// from the surrogate, tagged in the wire result; the same request with
+// tier "exact" stays exact.
 func TestSweepFastTier(t *testing.T) {
 	s := New(exp.New(1))
-	s.SetTier(tier.New(&tier.Calibration{
-		Granularity: 1,
-		Safety:      1,
-		Regions: []tier.Region{
-			{Key: tier.RegionKey(1, "sim", tech.OoO, 0, 0, 0), Samples: 1, MaxRelErr: 0.05},
-		},
-	}, tier.Exact))
+	s.SetTier(certifyingEvaluator())
 
 	pt := SweepPoint{Workload: workload.WebSearch, Core: "ooo", Cores: 4, LLCMB: 2}
 	w := postSweepReq(t, s, SweepRequest{Tier: "fast", Points: []SweepPoint{pt}})
@@ -102,20 +96,53 @@ func TestSweepFastTier(t *testing.T) {
 	}
 }
 
-// /statsz reports the evaluator's per-tier counters.
-func TestStatszTierSection(t *testing.T) {
-	s := New(exp.New(1))
-	postSweepReq(t, s, SweepRequest{Points: []SweepPoint{{
-		Workload: workload.WebSearch, Core: "ooo", Cores: 2, LLCMB: 1,
-	}}})
-	r := httptest.NewRequest("GET", "/statsz", nil)
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, r)
-	var st StatsResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
+// certifyingEvaluator certifies every region at granularity 1, so each
+// point it receives is served from the surrogate.
+func certifyingEvaluator() *tier.Evaluator {
+	var regions []tier.Region
+	for _, kind := range []string{"sim", "structural"} {
+		for _, core := range []tech.CoreType{tech.Conventional, tech.OoO, tech.InOrder} {
+			regions = append(regions, tier.Region{Key: tier.RegionKey(1, kind, core, 0, 0, 0), Samples: 1, MaxRelErr: 0.05})
+		}
 	}
-	if st.Tier.Scored != 1 || st.Tier.Escalated != 1 {
-		t.Errorf("tier stats = %+v, want 1 scored, 1 escalated", st.Tier)
+	return tier.New(&tier.Calibration{Granularity: 1, Regions: regions})
+}
+
+// The /statsz tier counters count fast-mode points only: with a
+// calibrated evaluator installed, exact sweeps and a /v1/exp run leave
+// them at 0, and a fast sweep is counted.
+func TestStatszTierSection(t *testing.T) {
+	s := New(exp.New(0))
+	s.SetTier(certifyingEvaluator())
+	tierStats := func() tier.Stats {
+		t.Helper()
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest("GET", "/statsz", nil))
+		var st StatsResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Tier
+	}
+	pts := []SweepPoint{{Workload: workload.WebSearch, Core: "ooo", Cores: 2, LLCMB: 1}}
+	for _, name := range []string{"", "exact"} {
+		if w := postSweepReq(t, s, SweepRequest{Tier: name, Points: pts}); w.Code != 200 {
+			t.Fatalf("tier %q sweep: status %d: %s", name, w.Code, w.Body.String())
+		}
+	}
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest("GET", "/v1/exp/fig2.1", nil))
+	if w.Code != 200 {
+		t.Fatalf("/v1/exp/fig2.1: status %d: %s", w.Code, w.Body.String())
+	}
+	if st := tierStats(); st != (tier.Stats{Regions: 6}) {
+		t.Errorf("tier stats after exact traffic = %+v, want only 6 regions", st)
+	}
+
+	if w := postSweepReq(t, s, SweepRequest{Tier: "fast", Points: pts}); w.Code != 200 {
+		t.Fatalf("fast sweep: status %d: %s", w.Code, w.Body.String())
+	}
+	if st := tierStats(); st.Scored != 1 || st.SurrogateServed != 1 || st.Escalated != 0 {
+		t.Errorf("tier stats after a fast sweep = %+v, want 1 scored, 1 surrogate-served", st)
 	}
 }

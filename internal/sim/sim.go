@@ -82,7 +82,7 @@ type Result struct {
 	// empty; the tiered evaluator (internal/tier) sets "surrogate" on
 	// results it answered from the analytic model in fast mode, so a
 	// caller — or a downstream reader of the sweep API — can always tell
-	// a certified approximation from a measured simulation. Exact-tier
+	// a certified approximation from a measured simulation. Exact
 	// results are genuine simulator output and keep the empty tag, which
 	// also keeps their wire form byte-identical to a direct run.
 	Source string `json:"source,omitempty"`

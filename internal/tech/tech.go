@@ -9,7 +9,10 @@
 // operating frequency the thesis assumes for every core type.
 package tech
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // ClockGHz is the operating frequency assumed for all cores and nodes.
 const ClockGHz = 2.0
@@ -42,6 +45,23 @@ func (c CoreType) String() string {
 		return "In-order"
 	default:
 		return fmt.Sprintf("CoreType(%d)", int(c))
+	}
+}
+
+// ParseCoreType resolves a human-typed core type name, in any case:
+// the wire token ("conventional", "ooo" or "in-order") or an alias —
+// "conv", "out-of-order", "inorder" or "io". The CLIs and the sweep
+// API's short form use it; the simulator's wire decoder stays strict.
+func ParseCoreType(name string) (CoreType, error) {
+	switch strings.ToLower(name) {
+	case "conventional", "conv":
+		return Conventional, nil
+	case "ooo", "out-of-order":
+		return OoO, nil
+	case "in-order", "inorder", "io":
+		return InOrder, nil
+	default:
+		return 0, fmt.Errorf("unknown core type %q (want conventional, ooo or in-order)", name)
 	}
 }
 

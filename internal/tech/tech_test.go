@@ -29,6 +29,25 @@ func TestCoreTypeString(t *testing.T) {
 	}
 }
 
+// ParseCoreType takes each wire token and alias in any case; anything
+// else is an error.
+func TestParseCoreType(t *testing.T) {
+	for name, want := range map[string]CoreType{
+		"conventional": Conventional, "Conv": Conventional,
+		"ooo": OoO, "OoO": OoO, "out-of-order": OoO,
+		"in-order": InOrder, "InOrder": InOrder, "io": InOrder,
+	} {
+		if got, err := ParseCoreType(name); err != nil || got != want {
+			t.Errorf("ParseCoreType(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "riscy", "in order"} {
+		if _, err := ParseCoreType(name); err == nil {
+			t.Errorf("ParseCoreType(%q) accepted", name)
+		}
+	}
+}
+
 func TestCoresPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {

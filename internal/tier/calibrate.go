@@ -28,10 +28,9 @@ type Options struct {
 	LLCMB []float64
 	Nets  []noc.Kind
 
-	// Granularity selects the region partition (RegionKey); Safety the
-	// band margin. Zero values take the package defaults.
+	// Granularity selects the region partition (RegionKey); zero takes
+	// DefaultGranularity.
 	Granularity int
-	Safety      float64
 
 	// Workers sizes the calibration engine's pool (0 = GOMAXPROCS).
 	Workers int
@@ -66,9 +65,6 @@ func (o *Options) defaults() {
 	}
 	if o.Granularity <= 0 {
 		o.Granularity = DefaultGranularity
-	}
-	if o.Safety <= 0 {
-		o.Safety = DefaultSafety
 	}
 }
 
@@ -118,7 +114,7 @@ func Calibrate(ctx context.Context, opts Options) (*Calibration, error) {
 			return nil, fmt.Errorf("tier: calibration suites: %w", err)
 		}
 	}
-	return rec.calibration(opts.Safety), nil
+	return rec.calibration(), nil
 }
 
 // recorder is the exp.Tier Calibrate runs under. It resolves each batch
@@ -181,7 +177,7 @@ func record[R any, C config[R, C]](ctx context.Context, r *recorder, k kind[R, C
 }
 
 // calibration folds the samples into the region table in key order.
-func (r *recorder) calibration(safety float64) *Calibration {
+func (r *recorder) calibration() *Calibration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	keys := make([]string, 0, len(r.samples))
@@ -203,7 +199,7 @@ func (r *recorder) calibration(safety float64) *Calibration {
 			reg.MaxRelErr = s.relErr
 		}
 	}
-	cal := &Calibration{Granularity: r.granularity, Safety: safety}
+	cal := &Calibration{Granularity: r.granularity}
 	for _, reg := range regions {
 		reg.MeanRelErr /= float64(reg.Samples)
 		cal.Regions = append(cal.Regions, *reg)

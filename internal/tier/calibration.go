@@ -12,22 +12,17 @@ import (
 )
 
 // Calibration is what cmd/calibrate emits (calibration.json) and the
-// tiered evaluator loads: the per-region error table that sizes the
-// escalation bands. It holds no simulator results; those belong to the
-// persistent result store, which cmd/calibrate -store fills. A file
-// written before the results moved there still loads: its
-// sim_anchors and structural_anchors arrays are ignored.
+// tiered evaluator loads: the per-region error table that decides which
+// regions the surrogate may answer. It holds no simulator results;
+// those belong to the persistent result store, which cmd/calibrate
+// -store fills. Older files still load: their sim_anchors,
+// structural_anchors and safety fields are ignored.
 type Calibration struct {
 	// Granularity selects how finely the design space is partitioned
 	// into error regions; see RegionKey. Evaluator lookups must use the
 	// same partition the table was built with, so it travels in the
 	// file.
 	Granularity int `json:"granularity"`
-
-	// Safety is the multiplier applied to a region's measured maximum
-	// relative error when sizing escalation bands — the margin between
-	// "worst error we observed" and "worst error we guard against".
-	Safety float64 `json:"safety"`
 
 	// Regions is the certified error table, sorted by key.
 	Regions []Region `json:"regions"`
@@ -43,14 +38,10 @@ type Region struct {
 	// Samples is how many calibration points landed in the region.
 	Samples int `json:"samples"`
 	// MaxRelErr and MeanRelErr summarize |surrogate−sim|/sim over the
-	// region's samples. MaxRelErr (times Safety) is the certified band.
+	// region's samples. MaxRelErr decides whether the region certifies.
 	MaxRelErr  float64 `json:"max_rel_err"`
 	MeanRelErr float64 `json:"mean_rel_err"`
 }
-
-// DefaultSafety is the band margin applied when a Calibration (or
-// calibrate invocation) does not choose one.
-const DefaultSafety = 1.25
 
 // DefaultGranularity is the region partition used when none is chosen:
 // the finest level (kind, core, net, cores bucket, LLC bucket).
@@ -58,8 +49,8 @@ const DefaultGranularity = 3
 
 // maxCertifiableRelErr caps what the fast tier will serve: a region
 // whose worst observed relative error exceeds this is treated as
-// uncertified — its points always escalate — because a band that wide
-// makes the surrogate's answer useless anyway.
+// uncertified — its points always escalate — because an error that
+// wide makes the surrogate's answer useless anyway.
 const maxCertifiableRelErr = 0.5
 
 // RegionKey maps one simulator configuration onto its error region.
@@ -122,9 +113,6 @@ func structuralRegionKey(g int, cc sim.StructuralConfig) string {
 func (c *Calibration) normalize() {
 	if c.Granularity <= 0 {
 		c.Granularity = DefaultGranularity
-	}
-	if c.Safety <= 0 {
-		c.Safety = DefaultSafety
 	}
 	sort.Slice(c.Regions, func(i, j int) bool { return c.Regions[i].Key < c.Regions[j].Key })
 }

@@ -3,7 +3,6 @@ package tier
 import (
 	"context"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,11 +16,10 @@ import (
 	"scaleout/internal/workload"
 )
 
-// The certification headline: figure suites regenerated through the
-// exact tier are byte-identical to direct simulation, and a calibration
-// run on a result store leaves every point it sampled there, so a fresh
-// engine on the reopened store regenerates the suites without
-// simulating anything.
+// A calibration run on a result store leaves every point it sampled
+// there, so exact evaluation — a fresh engine on the reopened store,
+// with no evaluator installed — regenerates the suites byte-identically
+// to direct simulation without simulating anything.
 func TestTieredExactFiguresByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates figure suites twice")
@@ -64,15 +62,10 @@ func TestTieredExactFiguresByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(cal.Regions) == 0 {
+		t.Fatal("calibration sampled no region")
+	}
 	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "cal.json")
-	if err := cal.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,19 +76,17 @@ func TestTieredExactFiguresByteIdentical(t *testing.T) {
 	defer st.Close()
 	eng := exp.New(0)
 	eng.SetStore(st)
-	ev := New(loaded, Exact)
-	tiered := render(exp.WithTier(exp.WithEngine(context.Background(), eng), ev))
-	if tiered != direct {
-		t.Fatal("tiered exact regeneration differs from direct simulation")
+	if got := render(exp.WithEngine(context.Background(), eng)); got != direct {
+		t.Fatal("regeneration on the calibration store differs from direct simulation")
 	}
 	if es := eng.Stats(); es.Misses != 0 || es.StoreHits == 0 {
-		t.Errorf("tiered regeneration on the calibration store: %+v, want 0 misses and store hits", es)
+		t.Errorf("regeneration on the calibration store: %+v, want 0 misses and store hits", es)
 	}
 }
 
 // Randomized differential: across a seeded random scatter of structural
-// configurations, the uncalibrated exact tier returns exactly what the
-// structural simulator returns.
+// configurations, the uncalibrated evaluator escalates every point and
+// returns exactly what the structural simulator returns.
 func TestTieredExactRandomizedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	ws := workload.Suite()
@@ -116,7 +107,7 @@ func TestTieredExactRandomizedDifferential(t *testing.T) {
 		})
 	}
 
-	ev := New(nil, Exact)
+	ev := New(nil)
 	ctx := exp.WithEngine(context.Background(), exp.New(0))
 	got, err := ev.Structurals(ctx, cfgs)
 	if err != nil {

@@ -17,107 +17,6 @@ import (
 	"scaleout/internal/workload"
 )
 
-// Table-driven boundary cases for the escalation decisions: a point
-// exactly on the boundary escalates even with a zero-width band, an
-// infinite band always escalates, and the all-/none-escalate extremes
-// come out right.
-func TestThresholdBoundaries(t *testing.T) {
-	inf := math.Inf(1)
-	cases := []struct {
-		name   string
-		d      Threshold
-		scores []float64
-		bands  []float64
-		want   []bool
-	}{
-		{"exactly on threshold, band 0", Threshold{Value: 10}, []float64{10}, []float64{0}, []bool{true}},
-		{"inside band", Threshold{Value: 10}, []float64{10.5, 9.5}, []float64{1, 0.4}, []bool{true, false}},
-		{"all interior", Threshold{Value: 100}, []float64{1, 2, 3}, []float64{0.1, 0.1, 0.1}, []bool{false, false, false}},
-		{"infinite band", Threshold{Value: 100}, []float64{1}, []float64{inf}, []bool{true}},
-	}
-	for _, c := range cases {
-		if got := c.d.Escalate(c.scores, c.bands); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestTopKBoundaries(t *testing.T) {
-	inf := math.Inf(1)
-	cases := []struct {
-		name   string
-		d      TopK
-		scores []float64
-		bands  []float64
-		want   []bool
-	}{
-		{"k=0 none escalate", TopK{K: 0}, []float64{1, 2}, []float64{inf, inf}, []bool{false, false}},
-		{"k>=n none escalate", TopK{K: 5}, []float64{1, 2}, []float64{inf, inf}, []bool{false, false}},
-		{"band 0, clear ranks", TopK{K: 1}, []float64{1, 2, 3}, []float64{0, 0, 0}, []bool{false, false, false}},
-		{"band 0, tie at the rank edge", TopK{K: 1}, []float64{3, 3, 1}, []float64{0, 0, 0}, []bool{true, true, false}},
-		{"band reaches the edge", TopK{K: 1}, []float64{10, 9, 1}, []float64{0.6, 0.6, 0.1}, []bool{true, true, false}},
-		// The uncertified middle point and the leader escalate; the last
-		// point is certainly out (the leader beats it outright) no
-		// matter where the uncertified point's true value lies.
-		{"uncertified point escalates", TopK{K: 1}, []float64{10, 5, 1}, []float64{0, inf, 0}, []bool{true, true, false}},
-	}
-	for _, c := range cases {
-		if got := c.d.Escalate(c.scores, c.bands); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestCrossoverBoundaries(t *testing.T) {
-	inf := math.Inf(1)
-	cases := []struct {
-		name   string
-		d      Crossover
-		scores []float64
-		bands  []float64
-		want   []bool
-	}{
-		{"exactly on crossover, band 0", Crossover{Against: []float64{5}}, []float64{5}, []float64{0}, []bool{true}},
-		{"intervals apart", Crossover{Against: []float64{5}}, []float64{7}, []float64{1}, []bool{false}},
-		{"intervals touch", Crossover{Against: []float64{5}, AgainstBands: []float64{1}}, []float64{7}, []float64{1}, []bool{true}},
-		// Point 1 has no opposing point, so a crossing cannot be ruled
-		// out; point 0's interval stays clear of its opposing score.
-		{"missing opposing point", Crossover{Against: []float64{5}}, []float64{4, 9}, []float64{0.5, 0.5}, []bool{false, true}},
-		{"infinite band", Crossover{Against: []float64{5}}, []float64{100}, []float64{inf}, []bool{true}},
-	}
-	for _, c := range cases {
-		if got := c.d.Escalate(c.scores, c.bands); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-// band: unknown, empty, and uncertifiable regions are infinite;
-// certified regions scale max error by safety and score magnitude.
-func TestBand(t *testing.T) {
-	ev := New(&Calibration{
-		Granularity: 1,
-		Safety:      2,
-		Regions: []Region{
-			{Key: "certified", Samples: 4, MaxRelErr: 0.1},
-			{Key: "empty", Samples: 0, MaxRelErr: 0},
-			{Key: "wild", Samples: 4, MaxRelErr: maxCertifiableRelErr * 2},
-		},
-	}, Exact)
-	if got := ev.band("certified", 10); got != 0.1*2*10 {
-		t.Errorf("certified band = %v, want 2", got)
-	}
-	if got := ev.band("unknown", 10); !math.IsInf(got, 1) {
-		t.Errorf("unknown region band = %v, want +Inf", got)
-	}
-	if got := ev.band("empty", 10); !math.IsInf(got, 1) {
-		t.Errorf("zero-sample region band = %v, want +Inf", got)
-	}
-	if got := ev.band("wild", 10); !math.IsInf(got, 1) {
-		t.Errorf("uncertifiable region band = %v, want +Inf", got)
-	}
-}
-
 func TestRegionKeyGranularity(t *testing.T) {
 	if got := RegionKey(1, "sim", tech.OoO, noc.Crossbar, 16, 4); got != "sim/OoO" {
 		t.Errorf("granularity 1: %q", got)
@@ -144,11 +43,12 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-// An uncalibrated exact evaluator returns exactly what the simulators
-// return: every point escalates, nothing is approximated.
+// An uncalibrated evaluator returns exactly what the simulators return:
+// it certifies nothing, so every point escalates and nothing is
+// approximated.
 func TestExactUncalibratedMatchesDirect(t *testing.T) {
 	ws := workload.Suite()
-	ev := New(nil, Exact)
+	ev := New(nil)
 	ctx := exp.WithEngine(context.Background(), exp.New(1))
 
 	simCfgs := []sim.Config{
@@ -188,23 +88,21 @@ func TestExactUncalibratedMatchesDirect(t *testing.T) {
 	}
 	st := ev.Stats()
 	if st.Scored != 4 || st.Escalated != 4 || st.SurrogateServed != 0 {
-		t.Errorf("uncalibrated exact stats = %+v, want 4 scored, 4 escalated", st)
+		t.Errorf("uncalibrated stats = %+v, want 4 scored, 4 escalated", st)
 	}
 }
 
-// Fast mode serves certified interior points from the surrogate, tagged
-// Source="surrogate"; with a certified region and no decision boundary,
-// nothing simulates.
+// The evaluator serves points in certified regions from the surrogate,
+// tagged Source="surrogate", so nothing simulates.
 func TestFastServesSurrogate(t *testing.T) {
 	cal := &Calibration{
 		Granularity: 1,
-		Safety:      1,
 		Regions: []Region{
 			{Key: "sim/OoO", Samples: 1, MaxRelErr: 0.05},
 			{Key: "structural/OoO", Samples: 1, MaxRelErr: 0.05},
 		},
 	}
-	ev := New(cal, Fast)
+	ev := New(cal)
 	ctx := exp.WithEngine(context.Background(), exp.New(1))
 	ws := workload.Suite()
 
@@ -213,7 +111,7 @@ func TestFastServesSurrogate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got[0].Source != "surrogate" {
-		t.Errorf("fast interior sim point Source = %q, want surrogate", got[0].Source)
+		t.Errorf("certified sim point Source = %q, want surrogate", got[0].Source)
 	}
 	if got[0].AppIPC <= 0 {
 		t.Errorf("surrogate sim AppIPC = %v", got[0].AppIPC)
@@ -224,77 +122,55 @@ func TestFastServesSurrogate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sgot[0].Source != "surrogate" || sgot[0].L1IMPKI <= 0 {
-		t.Errorf("fast interior structural point = %+v, want surrogate-tagged prediction", sgot[0])
+		t.Errorf("certified structural point = %+v, want surrogate-tagged prediction", sgot[0])
 	}
 	if st := ev.Stats(); st.SurrogateServed != 2 || st.Escalated != 0 {
 		t.Errorf("fast stats = %+v, want 2 surrogate-served, 0 escalated", st)
 	}
 }
 
-// A decision boundary forces fast mode to simulate the points whose
-// band reaches it: with a Threshold pinned to the surrogate's own
-// score, the point escalates and returns the genuine simulator result.
-func TestFastEscalatesOnBoundary(t *testing.T) {
-	cal := &Calibration{
+// A point whose region the calibration does not certify escalates and
+// returns the genuine simulator result, beside a surrogate-served point
+// of the same batch. Unknown, sampleless and over-bound regions never
+// certify.
+func TestFastEscalatesUncertified(t *testing.T) {
+	ev := New(&Calibration{
 		Granularity: 1,
-		Safety:      1,
-		Regions:     []Region{{Key: "sim/OoO", Samples: 1, MaxRelErr: 0.05}},
+		Regions: []Region{
+			{Key: "sim/OoO", Samples: 1, MaxRelErr: 0.05},
+			{Key: "sim/Conventional", Samples: 0},
+			{Key: "sim/In-order", Samples: 4, MaxRelErr: maxCertifiableRelErr * 2},
+		},
+	})
+	for key, want := range map[string]bool{
+		"sim/OoO": true, "sim/Conventional": false, "sim/In-order": false, "structural/OoO": false,
+	} {
+		if got := ev.certified(key); got != want {
+			t.Errorf("certified(%q) = %v, want %v", key, got, want)
+		}
 	}
-	ev := New(cal, Fast)
-	ctx := exp.WithEngine(context.Background(), exp.New(1))
+
 	ws := workload.Suite()
-	cfgs := []sim.Config{{Workload: ws[0], CoreType: tech.OoO, Cores: 16, LLCMB: 4}}
-
-	// First learn the surrogate score via a far-away threshold, then pin
-	// the threshold to it.
-	score, _, err := ev.SimsDecided(ctx, cfgs, Threshold{Value: -1e9})
-	if err != nil {
-		t.Fatal(err)
+	cfgs := []sim.Config{
+		{Workload: ws[0], CoreType: tech.OoO, Cores: 4, LLCMB: 1},
+		{Workload: ws[0], CoreType: tech.InOrder, Cores: 4, LLCMB: 1},
 	}
-	if score[0].Source != "surrogate" {
-		t.Fatalf("far threshold still escalated: %+v", score[0])
-	}
-	got, escalated, err := ev.SimsDecided(ctx, cfgs, Threshold{Value: score[0].AppIPC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !escalated[0] {
-		t.Fatal("point on the decision boundary did not escalate")
-	}
-	want, err := sim.Run(cfgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got[0], want) {
-		t.Errorf("escalated point %+v != direct %+v", got[0], want)
-	}
-}
-
-// Mode plumbing: a context override beats the evaluator's default.
-func TestModeOverride(t *testing.T) {
-	cal := &Calibration{
-		Granularity: 1,
-		Safety:      1,
-		Regions:     []Region{{Key: "sim/OoO", Samples: 1, MaxRelErr: 0.05}},
-	}
-	ev := New(cal, Exact)
-	ctx := exp.WithEngine(context.Background(), exp.New(1))
-	ws := workload.Suite()
-	cfgs := []sim.Config{{Workload: ws[0], CoreType: tech.OoO, Cores: 16, LLCMB: 4}}
-
-	got, err := ev.Sims(WithMode(ctx, Fast), cfgs)
+	got, err := ev.Sims(exp.WithEngine(context.Background(), exp.New(1)), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0].Source != "surrogate" {
-		t.Errorf("fast override ignored: Source = %q", got[0].Source)
+		t.Errorf("certified point Source = %q, want surrogate", got[0].Source)
 	}
-	got, err = ev.Sims(ctx, cfgs)
+	want, err := sim.Run(cfgs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Source != "" {
-		t.Errorf("exact default served a surrogate value")
+	if !reflect.DeepEqual(got[1], want) {
+		t.Errorf("escalated point %+v != direct %+v", got[1], want)
+	}
+	if st := ev.Stats(); st.Scored != 2 || st.SurrogateServed != 1 || st.Escalated != 1 {
+		t.Errorf("stats = %+v, want 2 scored, 1 surrogate-served, 1 escalated", st)
 	}
 }
 
@@ -302,7 +178,7 @@ func TestModeOverride(t *testing.T) {
 // float64 JSON encoding is the shortest form that re-parses to the
 // same value. A calibration.json from before the simulator results
 // moved into the result store still loads its regions; its anchor
-// arrays are ignored.
+// arrays and safety margin are ignored.
 func TestCalibrationRoundTrip(t *testing.T) {
 	cal := &Calibration{
 		Regions: []Region{
@@ -346,12 +222,12 @@ func TestCalibrationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Region{{Key: "sim/OoO/Crossbar/c9-16/llc<=4", Samples: 7, MaxRelErr: 0.089, MeanRelErr: 0.037}}
-	if !reflect.DeepEqual(loaded.Regions, want) || loaded.Granularity != 3 || loaded.Safety != 1.25 {
+	if !reflect.DeepEqual(loaded.Regions, want) || loaded.Granularity != 3 {
 		t.Errorf("old-format calibration loaded as %+v", loaded)
 	}
 }
 
-// Exact mode is the engine's plain path, so concurrent batches of one
+// Escalation is the engine's plain path, so concurrent batches of one
 // configuration share a single simulation: two concurrent structural
 // batches and a third after them simulate once, and each point is one
 // engine decision.
@@ -364,7 +240,7 @@ func TestExactStructuralsSingleFlight(t *testing.T) {
 		sources = append(sources, d.Source)
 		mu.Unlock()
 	})
-	ev := New(nil, Exact)
+	ev := New(nil)
 	ctx := exp.WithEngine(context.Background(), eng)
 	cfgs := []sim.StructuralConfig{{Workload: workload.Suite()[0], CoreType: tech.OoO, Cores: 4, LLCMB: 1}}
 
